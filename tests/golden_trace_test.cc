@@ -13,14 +13,30 @@
  * non-finite telemetry, and an uncertainty-aware interval with graded
  * confidence. Regenerate after an intentional format change
  * with:  SINAN_REGEN_GOLDEN=1 ./tests/golden_trace_test
+ *
+ * The decision matrix pins the scheduler itself: real managed runs on
+ * the bundled bench_cache models, across precisions, both telemetry
+ * policies and every chaos scenario, each digested to one line. Any
+ * change to a decision, a trace field or a metric shows up as a
+ * changed line of tests/golden/decision_matrix.txt.
  */
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "app/apps.h"
+#include "core/scheduler.h"
+#include "harness/harness.h"
 #include "harness/telemetry_log.h"
 
 namespace sinan {
@@ -189,6 +205,122 @@ TEST(GoldenTraceTest, RenderingIsAPureFunctionOfTheTrace)
     const DecisionTrace t = FixtureTrace();
     EXPECT_EQ(DecisionTraceToCsv(t), DecisionTraceToCsv(t));
     EXPECT_EQ(DecisionTraceToJson(t), DecisionTraceToJson(t));
+}
+
+// ---- decision matrix ------------------------------------------------
+
+/** FNV-1a, 64-bit. */
+uint64_t
+Fnv1a(const std::string& bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** Loads a bundled bench_cache model exactly like the bench cache-hit
+ *  path (same FeatureConfig recipe and hybrid hyper-parameters). */
+std::unique_ptr<HybridModel>
+LoadBundledModel(const Application& app, const std::string& name)
+{
+    const std::string path =
+        std::string(SINAN_REPO_ROOT) + "/bench_cache/" + name + ".model";
+    if (!std::filesystem::exists(path))
+        return nullptr;
+    const PipelineConfig pcfg; // history / lookahead defaults
+    FeatureConfig f;
+    f.n_tiers = static_cast<int>(app.tiers.size());
+    f.history = pcfg.history;
+    f.violation_lookahead = pcfg.violation_lookahead;
+    f.qos_ms = app.qos_ms;
+    auto model =
+        std::make_unique<HybridModel>(f, DefaultHybridConfig(), 1);
+    std::ifstream in(path, std::ios::binary);
+    model->Load(in);
+    return model;
+}
+
+TEST(GoldenTraceTest, DecisionMatrixMatchesPinnedDigests)
+{
+    const Application social = BuildSocialNetwork();
+    const Application hotel = BuildHotelReservation();
+    // One model instance per row, so no row inherits another's quant
+    // mode or workspace.
+    const std::unique_ptr<HybridModel> social_fp32 =
+        LoadBundledModel(social, "social");
+    const std::unique_ptr<HybridModel> social_int8 =
+        LoadBundledModel(social, "social");
+    const std::unique_ptr<HybridModel> hotel_fp32 =
+        LoadBundledModel(hotel, "hotel");
+    if (!social_fp32 || !hotel_fp32)
+        GTEST_SKIP() << "bundled bench_cache models not present";
+    ASSERT_TRUE(social_int8->Int8Calibrated());
+
+    struct Row {
+        const char* label;
+        const Application* app;
+        HybridModel* model;
+        QuantMode quant;
+        double users;
+    };
+    const Row rows[] = {
+        {"social-fp32", &social, social_fp32.get(), QuantMode::kOff, 200},
+        {"social-int8", &social, social_int8.get(), QuantMode::kInt8,
+         200},
+        {"hotel-fp32", &hotel, hotel_fp32.get(), QuantMode::kOff, 2500},
+    };
+    // Every named scenario, plus specs for decisions the catalog never
+    // reaches: blinding the scheduler before its window fills (hold and
+    // heuristic), a real overload seen through partially-poisoned
+    // telemetry (the graded fallback), and a stale redelivery of a
+    // spiked frame (no feasible candidate on the ladder and graded).
+    std::vector<std::pair<std::string, std::string>> faults;
+    for (const ChaosScenario& sc : ChaosScenarios())
+        faults.emplace_back(sc.name, sc.spec);
+    for (const char* spec :
+         {"drop@0+2;nan@3+2", "delay@1+2;nan@4+3:tiers=0-1",
+          "flash@10+8:mag=3;nan@12+4:tiers=0-0",
+          "spike@12+4:mag=800;delay@13+2"})
+        faults.emplace_back(spec, spec);
+
+    std::string rendered;
+    std::set<DecisionKind> reached[2];
+    for (const Row& row : rows) {
+        for (const bool uncertain : {false, true}) {
+            for (const auto& [name, spec] : faults) {
+                SchedulerConfig sc;
+                sc.quant = row.quant;
+                sc.uncertainty.enabled = uncertain;
+                SinanScheduler sched(*row.model, sc);
+                RunConfig rc;
+                rc.duration_s = 40.0;
+                rc.warmup_s = 4.0;
+                rc.faults = ParseFaultSpec(spec);
+                const RunResult r = RunManaged(
+                    *row.app, sched, ConstantLoad(row.users), rc);
+                for (const DecisionTraceEntry& e :
+                     r.decision_trace.intervals)
+                    reached[uncertain ? 1 : 0].insert(e.kind);
+                char line[256];
+                std::snprintf(
+                    line, sizeof line, "%s uncertainty=%s %s %016" PRIx64
+                    "\n",
+                    row.label, uncertain ? "on" : "off", name.c_str(),
+                    Fnv1a(DecisionTraceToCsv(r.decision_trace) +
+                          r.metrics.ToCsv()));
+                rendered += line;
+            }
+        }
+    }
+    // The matrix walks every rung of the pipeline: all kinds but the
+    // graded one with the policy off, all of them with it on.
+    EXPECT_EQ(reached[0].size(), 9u);
+    EXPECT_EQ(reached[0].count(DecisionKind::kUncertainModel), 0u);
+    EXPECT_EQ(reached[1].size(), 10u);
+    CheckGolden("decision_matrix.txt", rendered);
 }
 
 } // namespace
