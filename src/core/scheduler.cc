@@ -1,7 +1,7 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <numeric>
 
 #include "common/check.h"
@@ -27,6 +27,18 @@ ProbabilityBounds()
                                           0.2,  0.5,  0.9,  1.0};
     return b;
 }
+
+/** Counter bumped once per decision of each kind (DecisionKind order). */
+const char* const kKindCounters[] = {
+    "sinan.scheduler.warmup",        "sinan.scheduler.fallbacks",
+    "sinan.scheduler.fallbacks",     "sinan.scheduler.model_decisions",
+    "sinan.scheduler.no_feasible",   "sinan.scheduler.degraded_model",
+    "sinan.scheduler.degraded_heuristic",
+    "sinan.scheduler.degraded_hold", "sinan.scheduler.watchdog",
+    "sinan.scheduler.uncertain_model",
+};
+static_assert(std::size(kKindCounters) ==
+              static_cast<size_t>(DecisionKind::kUncertainModel) + 1);
 
 } // namespace
 
@@ -64,26 +76,19 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
     const int n = static_cast<int>(alloc.size());
     std::vector<Candidate> cands;
 
-    auto clamp_alloc = [&](std::vector<double> a) {
+    auto add = [&](std::vector<double> a, ActionKind kind) {
         for (int i = 0; i < n; ++i)
             a[i] = std::clamp(a[i], app.tiers[i].min_cpu,
                               app.tiers[i].max_cpu);
-        return a;
-    };
-    auto add = [&](std::vector<double> a, ActionKind kind) {
-        Candidate c;
-        c.alloc = clamp_alloc(std::move(a));
-        c.kind = kind;
         // A non-hold candidate whose clamped allocation equals the
         // current one is a phantom: it would duplicate Hold, waste an
         // Evaluate slot, and — flagged as a down action — let a no-op
         // masquerade as a reclaim (e.g. a batch down where every
         // selected tier sits above util_cap).
-        if (kind != ActionKind::kHold && c.alloc == alloc)
+        if (kind != ActionKind::kHold && a == alloc)
             return;
-        c.total_cpu =
-            std::accumulate(c.alloc.begin(), c.alloc.end(), 0.0);
-        cands.push_back(std::move(c));
+        const double total = std::accumulate(a.begin(), a.end(), 0.0);
+        cands.push_back({std::move(a), kind, total});
     };
 
     // Hold.
@@ -132,36 +137,25 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
         }
     }
 
-    // Scale Up All.
-    {
-        std::vector<double> a = alloc;
-        for (int i = 0; i < n; ++i)
-            a[i] = a[i] * (1.0 + cfg_.up_all_ratio) + 0.2;
-        add(std::move(a), ActionKind::kScaleUpAll);
-    }
+    // Scale Up All: the blanket upscale.
+    add(Upscale(alloc, app, nullptr, false), ActionKind::kScaleUpAll);
 
     // Scale Up Victims: tiers scaled down within the look-back window.
-    if (!recent_victims_.empty()) {
-        std::vector<bool> victim(n, false);
+    {
+        std::vector<double> a = alloc;
         bool any = false;
-        for (const auto& tiers : recent_victims_) {
+        for (const std::vector<int>& tiers : recent_victims_) {
             for (int t : tiers) {
-                victim[t] = true;
+                a[t] = alloc[t] + cfg_.cpu_steps.back();
                 any = true;
             }
         }
-        if (any) {
-            std::vector<double> a = alloc;
-            for (int i = 0; i < n; ++i) {
-                if (victim[i])
-                    a[i] += cfg_.cpu_steps.back();
-            }
+        if (any)
             add(std::move(a), ActionKind::kScaleUpVictims);
-        }
     }
 #ifndef SINAN_DISABLE_DCHECKS
     // Postcondition: every candidate stays within the per-tier action
-    // bounds of Table 1 — clamp_alloc guarantees it, and the contract
+    // bounds of Table 1 — add() clamps to them, and the contract
     // keeps any future candidate generator honest.
     for (const Candidate& c : cands) {
         SINAN_DCHECK_EQ(c.alloc.size(), alloc.size());
@@ -194,14 +188,35 @@ SinanScheduler::UtilStep(const IntervalObservation& ref,
 }
 
 std::vector<double>
+SinanScheduler::Upscale(const std::vector<double>& alloc,
+                        const Application& app,
+                        const IntervalObservation* hot_ref,
+                        bool escalate) const
+{
+    std::vector<double> a = alloc;
+    for (size_t i = 0; i < a.size(); ++i) {
+        // Saturated tiers get a stronger kick so the built-up queue
+        // drains in as few intervals as possible.
+        const bool hot =
+            hot_ref != nullptr && hot_ref->tiers[i].Utilization() > 0.7;
+        const double factor =
+            escalate ? 1.6 : hot ? 1.5 : 1.0 + cfg_.up_all_ratio;
+        const double add = escalate ? 0.4 : 0.2;
+        a[i] = std::min(app.tiers[i].max_cpu, a[i] * factor + add);
+    }
+    return a;
+}
+
+std::vector<double>
 SinanScheduler::Decide(const IntervalObservation& obs,
                        const std::vector<double>& alloc,
                        const Application& app)
 {
+    const double qos = model_->Features().qos_ms;
     const int n = static_cast<int>(alloc.size());
     // The allocation is the caller's own bookkeeping: a malformed one
     // is a programming error and throws. Malformed *telemetry* is an
-    // environment fault and is routed through the degradation path
+    // environment fault and is routed through the degraded rungs
     // below instead — no ContractViolation may escape because a
     // collection pipeline hiccuped.
     SINAN_CHECK_EQ(alloc.size(), app.tiers.size());
@@ -210,42 +225,68 @@ SinanScheduler::Decide(const IntervalObservation& obs,
                            app.tiers[i].max_cpu + 1e-9);
     }
 
-    if (cfg_.uncertainty.enabled) {
-        const TelemetryAssessment assess =
-            guard_.Assess(obs, cfg_.uncertainty.decay);
-        if (assess.health == TelemetryHealth::kFresh)
-            return DecideFresh(obs, alloc, app);
-        // The graded path needs a repair reference and a full model
-        // window; below the confidence floor (or without either) the
-        // binary ladder handles the interval — the ladder is the
-        // limit case of zero confidence.
-        if (assess.confidence >= cfg_.uncertainty.floor &&
-            assess.confidence > 0.0 && guard_.HasLastGood() &&
-            window_.Ready())
-            return DecideUncertain(assess, obs, alloc, app);
-        return DecideDegraded(assess.health, alloc, app, &assess);
+    // ---- rung selection ----------------------------------------------
+    // Every observation is graded; with the graded policy off (and on
+    // fresh telemetry) the binary view applies: trusted or not at all.
+    const UncertaintyConfig& ucfg = cfg_.uncertainty;
+    TelemetryAssessment assess =
+        guard_.Assess(obs, ucfg.enabled ? ucfg.decay : 0.0);
+    const bool fresh = assess.health == TelemetryHealth::kFresh;
+    if (fresh || !ucfg.enabled) {
+        assess.confidence = fresh ? 1.0 : 0.0;
+        assess.tier_confidence.clear();
     }
-    const TelemetryHealth health = guard_.Classify(obs);
-    if (health != TelemetryHealth::kFresh)
-        return DecideDegraded(health, alloc, app, nullptr);
-    return DecideFresh(obs, alloc, app);
-}
+    // Partially-trusted telemetry (confidence in [floor, 1)) takes the
+    // graded rung if a repair reference and a full window exist; the
+    // rest takes the ladder, the limit case of zero confidence.
+    const bool graded = !fresh && ucfg.enabled &&
+                        assess.confidence >= ucfg.floor &&
+                        assess.confidence > 0.0 && guard_.HasLastGood() &&
+                        window_.Ready();
+    const bool ladder = !fresh && !graded;
+    // Including this interval (the guard advances in commit()), so a
+    // run of degraded intervals decays into the ladder and watchdog.
+    const int silent = fresh ? 0 : guard_.SilentIntervals() + 1;
 
-std::vector<double>
-SinanScheduler::DecideFresh(const IntervalObservation& obs,
-                            const std::vector<double>& alloc,
-                            const Application& app)
-{
-    const double qos = model_->Features().qos_ms;
-    const int n = static_cast<int>(alloc.size());
+    // Reference observation: the delivered frame; when graded, that
+    // frame repaired from the last known-good one; on the ladder the
+    // last known-good frame itself (the window's newest), if any.
+    const IntervalObservation repaired =
+        graded ? guard_.Repair(obs, assess) : IntervalObservation{};
+    const IntervalObservation* ref =
+        fresh                  ? &obs
+        : graded               ? &repaired
+        : guard_.HasLastGood() ? &guard_.LastGood()
+                               : nullptr;
 
-    // ---- analysis phase ----------------------------------------------
+    // Evaluation window: the history plus the fresh frame (committed
+    // with it) or the repaired one (not committed; not pushed when
+    // stale, as it already *is* the newest picture); on the ladder the
+    // history itself. A copy: nothing is touched before commit().
+    MetricWindow eval_window = window_;
+    if (fresh || (graded && assess.health != TelemetryHealth::kStale))
+        eval_window.Push(*ref);
+
+    // ---- analysis ------------------------------------------------------
+    // The QoS channel is only actionable when the latency percentiles
+    // were genuinely delivered this interval (tier-targeted NaN leaves
+    // them real; a stale or imputed vector proves nothing). Silence is
+    // not comfort: the ladder resets the healthy streak, so a
+    // pre-outage streak cannot authorize a reclaim after it.
+    const bool latency_trusted = !ladder && assess.latency_fresh;
+    const double observed = latency_trusted ? ref->P99() : -1.0;
+    const bool violated = latency_trusted && observed > qos;
+    const int healthy =
+        latency_trusted && observed <= cfg_.healthy_frac * qos
+            ? healthy_streak_ + 1
+            : 0;
+
     // Trust bookkeeping is computed into locals and only written back
     // in commit() below, after every fallible step (most importantly
     // the model evaluation) has succeeded — a throw out of Decide()
-    // leaves the scheduler exactly as it was (strong guarantee).
-    const bool violated = obs.P99() > qos;
-    const bool scored = pending_pred_p99_ >= 0.0;
+    // leaves the scheduler exactly as it was (strong guarantee). Only
+    // fresh intervals grade predictions and count violations.
+    const bool scored = fresh && pending_pred_p99_ >= 0.0;
     const bool mispredicted =
         scored && pending_pred_p99_ <= qos && violated;
     int mispred = mispredictions_ + (mispredicted ? 1 : 0);
@@ -256,15 +297,14 @@ SinanScheduler::DecideFresh(const IntervalObservation& obs,
         trust_reduced = true;
         trust_lost = true;
     }
-    const int consecutive = violated ? consecutive_violations_ + 1 : 0;
-    int healthy =
-        obs.P99() <= cfg_.healthy_frac * qos ? healthy_streak_ + 1 : 0;
-
+    const int consecutive = !fresh   ? consecutive_violations_
+                            : violated ? consecutive_violations_ + 1
+                                       : 0;
     // Trust restoration (the paper's counterpart to losing it): a
     // sustained healthy streak first decays the misprediction count,
     // then lifts the reduced-trust conservatism once the count is back
     // under the threshold.
-    if (healthy > 0) {
+    if (fresh && healthy > 0) {
         if (cfg_.trust_decay_every > 0 && mispred > 0 &&
             healthy % cfg_.trust_decay_every == 0) {
             --mispred;
@@ -276,83 +316,131 @@ SinanScheduler::DecideFresh(const IntervalObservation& obs,
             trust_restored = true;
         }
     }
+    // The graded rung widens the latency filter and the violation
+    // probability the less the frame is trusted.
+    const double umargin =
+        graded ? ucfg.margin_frac * qos * (1.0 - assess.confidence) : 0.0;
+    const double pv_widen =
+        graded ? ucfg.margin_frac * (1.0 - assess.confidence) : 0.0;
 
-    auto count = [&](const char* name) {
-        if (metrics_)
+    auto count = [&](const char* name, bool on = true) {
+        if (metrics_ && on)
             metrics_->Inc(name);
     };
 
-    // ---- commit ------------------------------------------------------
-    // Writes the interval's bookkeeping back and appends the trace
-    // entry; every return path calls it exactly once, after the
-    // fallible work is done.
-    auto commit = [&](DecisionKind kind) -> DecisionTraceEntry* {
+    // ---- commit --------------------------------------------------------
+    // Writes the bookkeeping back and appends the trace entry; every
+    // exit calls it once, after the fallible work, and returns @p
+    // chosen. @p pred: the prediction reported for it (null: none).
+    auto commit = [&](DecisionKind kind, std::vector<double> chosen,
+                      const Prediction* pred) {
         mispredictions_ = mispred;
         trust_reduced_ = trust_reduced;
         consecutive_violations_ = consecutive;
         healthy_streak_ = healthy;
-        guard_.CommitFresh(obs);
+        last_pred_p99_ = pred ? pred->P99() : -1.0;
+        last_pred_pv_ = pred ? pred->p_violation : -1.0;
+        // Only a fresh model decision is graded by the next interval.
+        pending_pred_p99_ =
+            kind == DecisionKind::kModel ? last_pred_p99_ : -1.0;
+        if (fresh) {
+            window_ = std::move(eval_window);
+            guard_.CommitFresh(obs);
+        } else {
+            guard_.CommitDegraded();
+        }
+        // Safety upscales forget the victims; every other interval
+        // records the tiers it scaled down for Scale Up Victims.
+        if (kind == DecisionKind::kFallback ||
+            kind == DecisionKind::kEscalatedFallback ||
+            kind == DecisionKind::kWatchdogUpscale) {
+            recent_victims_.clear();
+        } else {
+            std::vector<int> victims;
+            for (int i = 0; i < n; ++i) {
+                if (chosen[i] < alloc[i] - 1e-9)
+                    victims.push_back(i);
+            }
+            recent_victims_.push_back(std::move(victims));
+            while (static_cast<int>(recent_victims_.size()) >
+                   cfg_.victim_window)
+                recent_victims_.pop_front();
+        }
 
-        DecisionTraceEntry* ent = nullptr;
         if (trace_) {
-            trace_->intervals.emplace_back();
-            ent = &trace_->intervals.back();
+            DecisionTraceEntry* ent = &trace_->intervals.emplace_back();
             ent->interval = interval_idx_;
             ent->kind = kind;
-            ent->observed_p99_ms = obs.P99();
+            ent->observed_p99_ms = observed;
             ent->violated = violated;
-            ent->telemetry = TelemetryHealth::kFresh;
-            ent->silent_intervals = 0;
+            ent->telemetry = assess.health;
+            ent->silent_intervals = silent;
             ent->trust_reduced = trust_reduced_;
             ent->mispredictions = mispredictions_;
             ent->healthy_streak = healthy_streak_;
             ent->consecutive_violations = consecutive_violations_;
             ent->trust_lost = trust_lost;
             ent->trust_restored = trust_restored;
+            ent->confidence = assess.confidence;
+            ent->tier_confidence = assess.tier_confidence;
+            ent->uncertainty_margin_ms = umargin;
         }
         ++interval_idx_;
         count("sinan.scheduler.decisions");
-        if (scored)
-            count("sinan.scheduler.predictions");
-        if (mispredicted)
-            count("sinan.scheduler.mispredictions");
-        if (trust_lost)
-            count("sinan.scheduler.trust_lost");
-        if (trust_restored)
-            count("sinan.scheduler.trust_restored");
+        count(kKindCounters[static_cast<size_t>(kind)]);
+        count("sinan.scheduler.escalations",
+              kind == DecisionKind::kEscalatedFallback);
+        count("sinan.scheduler.predictions", scored);
+        count("sinan.scheduler.mispredictions", mispredicted);
+        count("sinan.scheduler.trust_lost", trust_lost);
+        count("sinan.scheduler.trust_restored", trust_restored);
         if (metrics_) {
-            metrics_->Observe("sinan.scheduler.observed_p99_ms",
-                              obs.P99(), LatencyBounds());
-            metrics_->Set("sinan.scheduler.trust_reduced",
-                          trust_reduced_ ? 1.0 : 0.0);
-            metrics_->Set("sinan.scheduler.mispredictions_current",
-                          mispredictions_);
+            if (fresh) {
+                metrics_->Set("sinan.scheduler.trust_reduced",
+                              trust_reduced_ ? 1.0 : 0.0);
+                metrics_->Set("sinan.scheduler.mispredictions_current",
+                              mispredictions_);
+            } else {
+                metrics_->Inc(graded ? "sinan.scheduler.uncertain"
+                                     : "sinan.scheduler.degraded");
+                metrics_->Inc(std::string("sinan.scheduler.telemetry.") +
+                              ToString(assess.health));
+            }
+            if (latency_trusted) {
+                metrics_->Observe("sinan.scheduler.observed_p99_ms",
+                                  observed, LatencyBounds());
+            }
+            if (graded) {
+                metrics_->Set("sinan.scheduler.confidence",
+                              assess.confidence);
+            }
             metrics_->Set("sinan.scheduler.healthy_streak",
                           healthy_streak_);
-            metrics_->Set("sinan.scheduler.silent_intervals", 0.0);
+            metrics_->Set("sinan.scheduler.silent_intervals", silent);
         }
-        return ent;
+        return chosen;
     };
 
-    // The window including this observation is prepared as a copy so
-    // the decision (including the model evaluation, the only step that
-    // can throw past this point) runs before any member is touched.
-    MetricWindow next_window = window_;
-    next_window.Push(obs);
+    // ---- early exits ---------------------------------------------------
+    // Watchdog: after k consecutive silent intervals stop trusting the
+    // frozen picture entirely and grow everything until telemetry (or
+    // the per-tier maxima) returns.
+    if (ladder && cfg_.watchdog_silent_after > 0 &&
+        silent >= cfg_.watchdog_silent_after)
+        return commit(DecisionKind::kWatchdogUpscale,
+                      Upscale(alloc, app, nullptr, false), nullptr);
 
-    // Warm-up: no full history window yet. Falling back to conservative
-    // utilization stepping keeps the cluster alive if the run starts
+    // No full history window yet: conservative utilization stepping on
+    // the reference picture keeps the cluster alive if the run starts
     // underprovisioned (holding a starved allocation for T intervals
-    // builds a queue that takes far longer to drain).
-    if (!next_window.Ready()) {
-        const std::vector<double> a = UtilStep(obs, alloc, app, violated);
-        window_ = std::move(next_window);
-        last_pred_p99_ = -1.0;
-        last_pred_pv_ = -1.0;
-        pending_pred_p99_ = -1.0;
-        commit(DecisionKind::kWarmup);
-        count("sinan.scheduler.warmup");
-        return a;
+    // builds a queue that takes far longer to drain). Telemetry
+    // degraded before anything useful was ever seen: hold.
+    if (!eval_window.Ready()) {
+        if (ref == nullptr)
+            return commit(DecisionKind::kDegradedHold, alloc, nullptr);
+        return commit(fresh ? DecisionKind::kWarmup
+                            : DecisionKind::kDegradedHeuristic,
+                      UtilStep(*ref, alloc, app, violated), nullptr);
     }
 
     // Safety: an observed violation triggers an immediate blanket
@@ -361,9 +449,11 @@ SinanScheduler::DecideFresh(const IntervalObservation& obs,
     // per-tier maxima a single escalation to max dominates the max-CPU
     // accounting, so we escalate multiplicatively instead — it reaches
     // the maxima within a few intervals if the violation persists.)
+    // Only the fresh rung, whose full observation backs the count of
+    // consecutive violations, escalates.
     if (violated) {
         const bool escalate =
-            consecutive >= cfg_.max_fallback_after;
+            fresh && consecutive >= cfg_.max_fallback_after;
         // A violation the model failed to avert for this many intervals
         // also costs it trust: future decisions use the doubled latency
         // margin until it is restored by a healthy streak (or Reset()).
@@ -371,41 +461,18 @@ SinanScheduler::DecideFresh(const IntervalObservation& obs,
             trust_reduced = true;
             trust_lost = true;
         }
-        std::vector<double> a = alloc;
-        for (int i = 0; i < n; ++i) {
-            // Saturated tiers get a stronger kick so the built-up queue
-            // drains in as few intervals as possible.
-            const bool hot = obs.tiers[i].Utilization() > 0.7;
-            double factor = hot ? 1.5 : 1.0 + cfg_.up_all_ratio;
-            double add = 0.2;
-            if (escalate) {
-                factor = 1.6;
-                add = 0.4;
-            }
-            a[i] =
-                std::min(app.tiers[i].max_cpu, a[i] * factor + add);
-        }
-        window_ = std::move(next_window);
-        recent_victims_.clear();
-        last_pred_p99_ = -1.0;
-        last_pred_pv_ = -1.0;
-        pending_pred_p99_ = -1.0;
-        commit(escalate ? DecisionKind::kEscalatedFallback
-                        : DecisionKind::kFallback);
-        count("sinan.scheduler.fallbacks");
-        if (escalate)
-            count("sinan.scheduler.escalations");
-        return a;
+        return commit(escalate ? DecisionKind::kEscalatedFallback
+                               : DecisionKind::kFallback,
+                      Upscale(alloc, app, ref, escalate), nullptr);
     }
 
-    // Model path.
-    const std::vector<Candidate> cands =
-        BuildCandidates(obs, alloc, app);
+    // ---- model path ----------------------------------------------------
+    const std::vector<Candidate> cands = BuildCandidates(*ref, alloc, app);
     eval_allocs_.resize(cands.size());
     for (size_t i = 0; i < cands.size(); ++i)
         eval_allocs_[i] = cands[i].alloc;
     const std::vector<Prediction> preds =
-        model_->Evaluate(next_window, eval_allocs_);
+        model_->Evaluate(eval_window, eval_allocs_);
     SINAN_CHECK_EQ(preds.size(), cands.size());
     for (const Prediction& p : preds) {
         // A NaN prediction would silently poison every margin
@@ -419,483 +486,19 @@ SinanScheduler::DecideFresh(const IntervalObservation& obs,
     // Reduced trust makes the latency margin twice as conservative.
     const double margin =
         std::min(model_->ValRmseSubQosMs(), cfg_.margin_cap_frac * qos) *
-        (trust_reduced ? 2.0 : 1.0);
-
-    // Hysteresis: only reclaim after a streak of comfortable intervals.
-    const bool may_reclaim = healthy >= cfg_.reclaim_after_healthy;
-
-    int best = -1;
-    int hold_idx = -1;
-    std::vector<CandidateOutcome> outcomes(
-        cands.size(), CandidateOutcome::kNotCheapest);
-    for (size_t i = 0; i < cands.size(); ++i) {
-        if (cands[i].IsHold())
-            hold_idx = static_cast<int>(i);
-        if (cands[i].IsDown()) {
-            if (!may_reclaim) {
-                outcomes[i] = CandidateOutcome::kRejectedHysteresis;
-                continue;
-            }
-            // Reject downs that would immediately saturate a tier.
-            bool saturates = false;
-            for (int j = 0; j < n && !saturates; ++j) {
-                saturates = obs.tiers[j].cpu_used >
-                            cfg_.post_down_util_cap *
-                                cands[i].alloc[j];
-            }
-            if (saturates) {
-                outcomes[i] =
-                    CandidateOutcome::kRejectedPostDownSaturation;
-                continue;
-            }
-        }
-        const bool latency_ok = preds[i].P99() <= qos - margin;
-        const double pv = preds[i].p_violation;
-        const bool prob_ok =
-            cands[i].IsDown() ? pv < cfg_.p_down : pv < cfg_.p_up;
-        if (!latency_ok) {
-            outcomes[i] = CandidateOutcome::kRejectedLatencyMargin;
-            continue;
-        }
-        if (!prob_ok) {
-            outcomes[i] = CandidateOutcome::kRejectedViolationProb;
-            continue;
-        }
-        if (best < 0 || cands[i].total_cpu < cands[best].total_cpu)
-            best = static_cast<int>(i);
-    }
-    if (best >= 0)
-        outcomes[best] = CandidateOutcome::kChosen;
-
-    // ---- commit (model path) ----------------------------------------
-    window_ = std::move(next_window);
-    DecisionTraceEntry* ent = commit(
-        best >= 0 ? DecisionKind::kModel
-                  : DecisionKind::kNoFeasibleUpscale);
-
-    if (metrics_) {
-        metrics_->Inc("sinan.scheduler.candidates", cands.size());
-        for (size_t i = 0; i < cands.size(); ++i) {
-            metrics_->Inc(std::string("sinan.scheduler.outcome.") +
-                          ToString(outcomes[i]));
-            metrics_->Observe("sinan.scheduler.pred_p99_ms",
-                              preds[i].P99(), LatencyBounds());
-            metrics_->Observe("sinan.scheduler.pred_p_violation",
-                              preds[i].p_violation,
-                              ProbabilityBounds());
-        }
-        if (best >= 0) {
-            metrics_->Inc(std::string("sinan.scheduler.chosen.") +
-                          ToString(cands[best].kind));
-        }
-    }
-    if (ent) {
-        ent->margin_ms = margin;
-        ent->may_reclaim = may_reclaim;
-        ent->chosen = best;
-        ent->candidates.reserve(cands.size());
-        for (size_t i = 0; i < cands.size(); ++i) {
-            CandidateTrace ct;
-            ct.kind = cands[i].kind;
-            ct.total_cpu = cands[i].total_cpu;
-            ct.latency_ms = preds[i].latency_ms;
-            ct.p_violation = preds[i].p_violation;
-            ct.outcome = outcomes[i];
-            ent->candidates.push_back(std::move(ct));
-        }
-    }
-
-    std::vector<double> chosen;
-    if (best >= 0) {
-        chosen = cands[best].alloc;
-        last_pred_p99_ = preds[best].P99();
-        last_pred_pv_ = preds[best].p_violation;
-        pending_pred_p99_ = last_pred_p99_;
-        count("sinan.scheduler.model_decisions");
-    } else {
-        // No acceptable action: scale everything up.
-        chosen.resize(n);
-        for (int i = 0; i < n; ++i) {
-            chosen[i] = std::min(app.tiers[i].max_cpu,
-                                 alloc[i] * (1.0 + cfg_.up_all_ratio) +
-                                     0.2);
-        }
-        if (hold_idx >= 0) {
-            last_pred_p99_ = preds[hold_idx].P99();
-            last_pred_pv_ = preds[hold_idx].p_violation;
-        }
-        pending_pred_p99_ = -1.0;
-        count("sinan.scheduler.no_feasible");
-    }
-
-#ifndef SINAN_DISABLE_DCHECKS
-    for (int i = 0; i < n; ++i) {
-        SINAN_DCHECK_BOUNDS(chosen[i], app.tiers[i].min_cpu - 1e-9,
-                            app.tiers[i].max_cpu + 1e-9);
-    }
-#endif
-
-    // Record this interval's victims for Scale Up Victim.
-    std::vector<int> victims;
-    for (int i = 0; i < n; ++i) {
-        if (chosen[i] < alloc[i] - 1e-9)
-            victims.push_back(i);
-    }
-    recent_victims_.push_back(std::move(victims));
-    while (static_cast<int>(recent_victims_.size()) > cfg_.victim_window)
-        recent_victims_.pop_front();
-
-    return chosen;
-}
-
-std::vector<double>
-SinanScheduler::DecideDegraded(TelemetryHealth health,
-                               const std::vector<double>& alloc,
-                               const Application& app,
-                               const TelemetryAssessment* assess)
-{
-    const double qos = model_->Features().qos_ms;
-    const int n = static_cast<int>(alloc.size());
-    // Including this interval; the guard advances in commit().
-    const int silent = guard_.SilentIntervals() + 1;
-    const bool watchdog = cfg_.watchdog_silent_after > 0 &&
-                          silent >= cfg_.watchdog_silent_after;
-
-    auto count = [&](const char* name) {
-        if (metrics_)
-            metrics_->Inc(name);
-    };
-
-    // Shared commit tail. The trust machinery freezes while blind —
-    // there is no observation to score predictions against — except
-    // the healthy streak, which resets: silence is not evidence of
-    // comfort, and a pre-outage streak must not authorize a reclaim
-    // the moment telemetry returns.
-    auto commit = [&](DecisionKind kind) -> DecisionTraceEntry* {
-        guard_.CommitDegraded();
-        healthy_streak_ = 0;
-        pending_pred_p99_ = -1.0;
-
-        DecisionTraceEntry* ent = nullptr;
-        if (trace_) {
-            trace_->intervals.emplace_back();
-            ent = &trace_->intervals.back();
-            ent->interval = interval_idx_;
-            ent->kind = kind;
-            ent->observed_p99_ms = -1.0; // unknown or untrusted
-            ent->violated = false;
-            ent->telemetry = health;
-            ent->silent_intervals = silent;
-            ent->trust_reduced = trust_reduced_;
-            ent->mispredictions = mispredictions_;
-            ent->healthy_streak = healthy_streak_;
-            ent->consecutive_violations = consecutive_violations_;
-            // On the binary ladder the telemetry is not trusted at
-            // all; with the graded policy active the assessment that
-            // routed the interval here is recorded as-is.
-            ent->confidence = assess ? assess->confidence : 0.0;
-            if (assess)
-                ent->tier_confidence = assess->tier_confidence;
-        }
-        ++interval_idx_;
-        count("sinan.scheduler.decisions");
-        count("sinan.scheduler.degraded");
-        if (metrics_) {
-            metrics_->Inc(std::string("sinan.scheduler.telemetry.") +
-                          ToString(health));
-            metrics_->Set("sinan.scheduler.silent_intervals", silent);
-            metrics_->Set("sinan.scheduler.healthy_streak", 0.0);
-        }
-        return ent;
-    };
-
-    // Ages the victim look-back like any other interval (degraded
-    // paths never scale down, so the entry is empty).
-    auto age_victims = [&] {
-        recent_victims_.emplace_back();
-        while (static_cast<int>(recent_victims_.size()) >
-               cfg_.victim_window)
-            recent_victims_.pop_front();
-    };
-
-    // Watchdog: after k consecutive silent intervals stop trusting the
-    // frozen picture entirely and grow everything until telemetry (or
-    // the per-tier maxima) returns.
-    if (watchdog) {
-        std::vector<double> a = alloc;
-        for (int i = 0; i < n; ++i) {
-            a[i] = std::min(app.tiers[i].max_cpu,
-                            a[i] * (1.0 + cfg_.up_all_ratio) + 0.2);
-        }
-        last_pred_p99_ = -1.0;
-        last_pred_pv_ = -1.0;
-        recent_victims_.clear();
-        commit(DecisionKind::kWatchdogUpscale);
-        count("sinan.scheduler.watchdog");
-        return a;
-    }
-
-    // Stale or non-finite telemetry with a full window: consult the
-    // model on the last-known-good features. Reclaims are disabled —
-    // shrinking a tier based on a picture that may no longer hold is
-    // how a blind manager causes its own violation.
-    if (window_.Ready()) {
-        const IntervalObservation& ref = window_.Newest();
-        const std::vector<Candidate> cands =
-            BuildCandidates(ref, alloc, app);
-        eval_allocs_.resize(cands.size());
-        for (size_t i = 0; i < cands.size(); ++i)
-            eval_allocs_[i] = cands[i].alloc;
-        const std::vector<Prediction> preds =
-            model_->Evaluate(window_, eval_allocs_);
-        SINAN_CHECK_EQ(preds.size(), cands.size());
-        for (const Prediction& p : preds) {
-            SINAN_CHECK_FINITE(p.P99());
-            SINAN_CHECK_BOUNDS(p.p_violation, 0.0, 1.0);
-        }
-        const double margin = std::min(model_->ValRmseSubQosMs(),
-                                       cfg_.margin_cap_frac * qos) *
-                              (trust_reduced_ ? 2.0 : 1.0);
-
-        int best = -1;
-        std::vector<CandidateOutcome> outcomes(
-            cands.size(), CandidateOutcome::kNotCheapest);
-        for (size_t i = 0; i < cands.size(); ++i) {
-            if (cands[i].IsDown()) {
-                outcomes[i] =
-                    CandidateOutcome::kRejectedDegradedTelemetry;
-                continue;
-            }
-            const bool latency_ok = preds[i].P99() <= qos - margin;
-            const bool prob_ok = preds[i].p_violation < cfg_.p_up;
-            if (!latency_ok) {
-                outcomes[i] = CandidateOutcome::kRejectedLatencyMargin;
-                continue;
-            }
-            if (!prob_ok) {
-                outcomes[i] = CandidateOutcome::kRejectedViolationProb;
-                continue;
-            }
-            if (best < 0 || cands[i].total_cpu < cands[best].total_cpu)
-                best = static_cast<int>(i);
-        }
-        if (best >= 0)
-            outcomes[best] = CandidateOutcome::kChosen;
-
-        DecisionTraceEntry* ent = commit(DecisionKind::kDegradedModel);
-        count("sinan.scheduler.degraded_model");
-        if (metrics_) {
-            metrics_->Inc("sinan.scheduler.candidates", cands.size());
-            for (const CandidateOutcome& o : outcomes) {
-                metrics_->Inc(
-                    std::string("sinan.scheduler.outcome.") +
-                    ToString(o));
-            }
-            if (best >= 0) {
-                metrics_->Inc(std::string("sinan.scheduler.chosen.") +
-                              ToString(cands[best].kind));
-            }
-        }
-        if (ent) {
-            ent->margin_ms = margin;
-            ent->may_reclaim = false;
-            ent->chosen = best;
-            ent->candidates.reserve(cands.size());
-            for (size_t i = 0; i < cands.size(); ++i) {
-                CandidateTrace ct;
-                ct.kind = cands[i].kind;
-                ct.total_cpu = cands[i].total_cpu;
-                ct.latency_ms = preds[i].latency_ms;
-                ct.p_violation = preds[i].p_violation;
-                ct.outcome = outcomes[i];
-                ent->candidates.push_back(std::move(ct));
-            }
-        }
-
-        std::vector<double> chosen;
-        if (best >= 0) {
-            chosen = cands[best].alloc;
-            last_pred_p99_ = preds[best].P99();
-            last_pred_pv_ = preds[best].p_violation;
-        } else {
-            chosen.resize(n);
-            for (int i = 0; i < n; ++i) {
-                chosen[i] =
-                    std::min(app.tiers[i].max_cpu,
-                             alloc[i] * (1.0 + cfg_.up_all_ratio) +
-                                 0.2);
-            }
-            last_pred_p99_ = -1.0;
-            last_pred_pv_ = -1.0;
-            count("sinan.scheduler.no_feasible");
-        }
-        age_victims();
-        return chosen;
-    }
-
-    // No full window yet, but at least one good observation: the
-    // AutoScaleCons-style utilization heuristic on the last good
-    // picture (never reclaims while blind).
-    if (guard_.HasLastGood()) {
-        const std::vector<double> a =
-            UtilStep(guard_.LastGood(), alloc, app, false);
-        last_pred_p99_ = -1.0;
-        last_pred_pv_ = -1.0;
-        commit(DecisionKind::kDegradedHeuristic);
-        count("sinan.scheduler.degraded_heuristic");
-        age_victims();
-        return a;
-    }
-
-    // Telemetry degraded before anything useful was ever seen: hold.
-    last_pred_p99_ = -1.0;
-    last_pred_pv_ = -1.0;
-    commit(DecisionKind::kDegradedHold);
-    count("sinan.scheduler.degraded_hold");
-    age_victims();
-    return alloc;
-}
-
-std::vector<double>
-SinanScheduler::DecideUncertain(const TelemetryAssessment& assess,
-                                const IntervalObservation& obs,
-                                const std::vector<double>& alloc,
-                                const Application& app)
-{
-    const double qos = model_->Features().qos_ms;
-    const int n = static_cast<int>(alloc.size());
-    // Including this interval; the guard advances in commit(), so a
-    // run of partially-trusted intervals keeps decaying the stale
-    // confidence until the ladder takes over.
-    const int silent = guard_.SilentIntervals() + 1;
-
-    // ---- analysis ----------------------------------------------------
-    // Zero-confidence channels are imputed from the last-known-good
-    // picture; everything else is the delivered frame.
-    const IntervalObservation repaired = guard_.Repair(obs, assess);
-    const double umargin = cfg_.uncertainty.margin_frac * qos *
-                           (1.0 - assess.confidence);
-    const double pv_widen =
-        cfg_.uncertainty.margin_frac * (1.0 - assess.confidence);
-
-    // The QoS channel is only actionable when the latency percentiles
-    // were genuinely delivered this interval (tier-targeted NaN leaves
-    // them real; a stale or imputed vector proves nothing).
-    const bool violated = assess.latency_fresh && repaired.P99() > qos;
-    const int healthy = (assess.latency_fresh &&
-                         repaired.P99() <= cfg_.healthy_frac * qos)
-                            ? healthy_streak_ + 1
-                            : 0;
-
-    auto count = [&](const char* name) {
-        if (metrics_)
-            metrics_->Inc(name);
-    };
-
-    // ---- commit ------------------------------------------------------
-    // Trust scoring freezes like the degraded path: predictions made
-    // on repaired data are never graded against later observations,
-    // and the repaired frame is never committed to the fresh-only
-    // history window. The healthy streak, unlike the blind ladder, may
-    // keep advancing — a real delivered latency below the comfort
-    // threshold is evidence, whatever the tier channels did.
-    auto commit = [&](DecisionKind kind) -> DecisionTraceEntry* {
-        guard_.CommitDegraded();
-        healthy_streak_ = healthy;
-        pending_pred_p99_ = -1.0;
-
-        DecisionTraceEntry* ent = nullptr;
-        if (trace_) {
-            trace_->intervals.emplace_back();
-            ent = &trace_->intervals.back();
-            ent->interval = interval_idx_;
-            ent->kind = kind;
-            ent->observed_p99_ms =
-                assess.latency_fresh ? repaired.P99() : -1.0;
-            ent->violated = violated;
-            ent->telemetry = assess.health;
-            ent->silent_intervals = silent;
-            ent->trust_reduced = trust_reduced_;
-            ent->mispredictions = mispredictions_;
-            ent->healthy_streak = healthy_streak_;
-            ent->consecutive_violations = consecutive_violations_;
-            ent->confidence = assess.confidence;
-            ent->tier_confidence = assess.tier_confidence;
-            ent->uncertainty_margin_ms = umargin;
-        }
-        ++interval_idx_;
-        count("sinan.scheduler.decisions");
-        count("sinan.scheduler.uncertain");
-        if (metrics_) {
-            metrics_->Inc(std::string("sinan.scheduler.telemetry.") +
-                          ToString(assess.health));
-            metrics_->Set("sinan.scheduler.silent_intervals", silent);
-            metrics_->Set("sinan.scheduler.healthy_streak",
-                          healthy_streak_);
-            metrics_->Set("sinan.scheduler.confidence",
-                          assess.confidence);
-            if (assess.latency_fresh) {
-                metrics_->Observe("sinan.scheduler.observed_p99_ms",
-                                  repaired.P99(), LatencyBounds());
-            }
-        }
-        return ent;
-    };
-
-    // Safety first: a genuinely observed violation gets the fresh
-    // path's blanket upscale. It never escalates here — escalation
-    // counts consecutive violations, and that counter only advances on
-    // the fresh path where the full observation backs it.
-    if (violated) {
-        std::vector<double> a = alloc;
-        for (int i = 0; i < n; ++i) {
-            const bool hot = repaired.tiers[i].Utilization() > 0.7;
-            const double factor = hot ? 1.5 : 1.0 + cfg_.up_all_ratio;
-            a[i] = std::min(app.tiers[i].max_cpu, a[i] * factor + 0.2);
-        }
-        recent_victims_.clear();
-        last_pred_p99_ = -1.0;
-        last_pred_pv_ = -1.0;
-        commit(DecisionKind::kFallback);
-        count("sinan.scheduler.fallbacks");
-        return a;
-    }
-
-    // Model path on the repaired observation. The evaluation window is
-    // the fresh-only history plus the repaired frame — except when the
-    // frame is stale, in which case it already *is* the newest
-    // committed picture and pushing it again would double-count it.
-    MetricWindow eval_window = window_;
-    if (assess.health != TelemetryHealth::kStale)
-        eval_window.Push(repaired);
-
-    const std::vector<Candidate> cands =
-        BuildCandidates(repaired, alloc, app);
-    eval_allocs_.resize(cands.size());
-    for (size_t i = 0; i < cands.size(); ++i)
-        eval_allocs_[i] = cands[i].alloc;
-    const std::vector<Prediction> preds =
-        model_->Evaluate(eval_window, eval_allocs_);
-    SINAN_CHECK_EQ(preds.size(), cands.size());
-    for (const Prediction& p : preds) {
-        SINAN_CHECK_FINITE(p.P99());
-        SINAN_CHECK_BOUNDS(p.p_violation, 0.0, 1.0);
-    }
-
-    // The fresh path's margin, widened by the uncertainty margin: the
-    // less the frame is trusted, the more headroom a candidate must
-    // predict before it is acceptable.
-    const double margin =
-        std::min(model_->ValRmseSubQosMs(), cfg_.margin_cap_frac * qos) *
-            (trust_reduced_ ? 2.0 : 1.0) +
+            (trust_reduced ? 2.0 : 1.0) +
         umargin;
 
-    const bool may_reclaim = healthy >= cfg_.reclaim_after_healthy;
+    // Hysteresis: only reclaim after a streak of comfortable intervals.
+    // The ladder never reclaims: shrinking a tier on a picture that may
+    // no longer hold is how a blind manager causes its own violation.
+    const bool may_reclaim =
+        !ladder && healthy >= cfg_.reclaim_after_healthy;
 
     // Aggressiveness proportional to confidence: the CPU reclaim on
-    // offer this interval is capped at confidence times the largest
-    // step-down among the candidates, so a half-trusted fleet reclaims
-    // in small steps instead of either fully or not at all.
+    // offer is capped at confidence times the largest step-down among
+    // the candidates (at confidence 1, no cap), so a half-trusted frame
+    // reclaims in small steps instead of either fully or not at all.
     const double cur_total =
         std::accumulate(alloc.begin(), alloc.end(), 0.0);
     double max_down = 0.0;
@@ -905,59 +508,68 @@ SinanScheduler::DecideUncertain(const TelemetryAssessment& assess,
     }
     const double down_budget = assess.confidence * max_down;
 
+    // The filter: kNotCheapest means the candidate is acceptable.
+    auto judge = [&](const Candidate& c, const Prediction& p) {
+        if (c.IsDown()) {
+            if (!may_reclaim)
+                return ladder ? CandidateOutcome::kRejectedDegradedTelemetry
+                              : CandidateOutcome::kRejectedHysteresis;
+            if (cur_total - c.total_cpu > down_budget + 1e-9)
+                return CandidateOutcome::kRejectedUncertaintyStep;
+            // Reject downs that would immediately saturate a tier.
+            for (int j = 0; j < n; ++j) {
+                if (ref->tiers[j].cpu_used >
+                    cfg_.post_down_util_cap * c.alloc[j])
+                    return CandidateOutcome::kRejectedPostDownSaturation;
+            }
+        }
+        if (!(p.P99() <= qos - margin))
+            return CandidateOutcome::kRejectedLatencyMargin;
+        const double pv = p.p_violation + pv_widen;
+        if (!(c.IsDown() ? pv < cfg_.p_down : pv < cfg_.p_up))
+            return CandidateOutcome::kRejectedViolationProb;
+        return CandidateOutcome::kNotCheapest;
+    };
     int best = -1;
-    std::vector<CandidateOutcome> outcomes(
-        cands.size(), CandidateOutcome::kNotCheapest);
+    std::vector<CandidateOutcome> outcomes(cands.size());
     for (size_t i = 0; i < cands.size(); ++i) {
-        if (cands[i].IsDown()) {
-            if (!may_reclaim) {
-                outcomes[i] = CandidateOutcome::kRejectedHysteresis;
-                continue;
-            }
-            if (cur_total - cands[i].total_cpu > down_budget + 1e-9) {
-                outcomes[i] =
-                    CandidateOutcome::kRejectedUncertaintyStep;
-                continue;
-            }
-            bool saturates = false;
-            for (int j = 0; j < n && !saturates; ++j) {
-                saturates = repaired.tiers[j].cpu_used >
-                            cfg_.post_down_util_cap * cands[i].alloc[j];
-            }
-            if (saturates) {
-                outcomes[i] =
-                    CandidateOutcome::kRejectedPostDownSaturation;
-                continue;
-            }
-        }
-        const bool latency_ok = preds[i].P99() <= qos - margin;
-        const double pv = preds[i].p_violation + pv_widen;
-        const bool prob_ok =
-            cands[i].IsDown() ? pv < cfg_.p_down : pv < cfg_.p_up;
-        if (!latency_ok) {
-            outcomes[i] = CandidateOutcome::kRejectedLatencyMargin;
-            continue;
-        }
-        if (!prob_ok) {
-            outcomes[i] = CandidateOutcome::kRejectedViolationProb;
-            continue;
-        }
-        if (best < 0 || cands[i].total_cpu < cands[best].total_cpu)
+        outcomes[i] = judge(cands[i], preds[i]);
+        if (outcomes[i] == CandidateOutcome::kNotCheapest &&
+            (best < 0 || cands[i].total_cpu < cands[best].total_cpu))
             best = static_cast<int>(i);
     }
     if (best >= 0)
         outcomes[best] = CandidateOutcome::kChosen;
 
-    // ---- commit (model path) ----------------------------------------
-    DecisionTraceEntry* ent = commit(
-        best >= 0 ? DecisionKind::kUncertainModel
-                  : DecisionKind::kNoFeasibleUpscale);
+    // No acceptable action: scale everything up. The fresh rung still
+    // reports the hold candidate's prediction (always the first).
+    std::vector<double> chosen =
+        best >= 0 ? cands[best].alloc : Upscale(alloc, app, nullptr, false);
+    const Prediction* pred = best >= 0 ? &preds[best]
+                             : fresh   ? &preds.front()
+                                       : nullptr;
+    const DecisionKind kind = ladder     ? DecisionKind::kDegradedModel
+                              : best < 0 ? DecisionKind::kNoFeasibleUpscale
+                              : graded   ? DecisionKind::kUncertainModel
+                                         : DecisionKind::kModel;
+#ifndef SINAN_DISABLE_DCHECKS
+    SINAN_DCHECK(cands.front().IsHold());
+    for (int i = 0; i < n; ++i) {
+        SINAN_DCHECK_BOUNDS(chosen[i], app.tiers[i].min_cpu - 1e-9,
+                            app.tiers[i].max_cpu + 1e-9);
+    }
+#endif
 
+    chosen = commit(kind, std::move(chosen), pred);
     if (metrics_) {
         metrics_->Inc("sinan.scheduler.candidates", cands.size());
         for (size_t i = 0; i < cands.size(); ++i) {
             metrics_->Inc(std::string("sinan.scheduler.outcome.") +
                           ToString(outcomes[i]));
+            // The ladder's predictions rest on a frozen picture; they
+            // are traced but kept out of the prediction histograms.
+            if (ladder)
+                continue;
             metrics_->Observe("sinan.scheduler.pred_p99_ms",
                               preds[i].P99(), LatencyBounds());
             metrics_->Observe("sinan.scheduler.pred_p_violation",
@@ -966,59 +578,22 @@ SinanScheduler::DecideUncertain(const TelemetryAssessment& assess,
         if (best >= 0) {
             metrics_->Inc(std::string("sinan.scheduler.chosen.") +
                           ToString(cands[best].kind));
+        } else if (ladder) {
+            metrics_->Inc("sinan.scheduler.no_feasible");
         }
     }
-    if (ent) {
-        ent->margin_ms = margin;
-        ent->may_reclaim = may_reclaim;
-        ent->chosen = best;
-        ent->candidates.reserve(cands.size());
+    if (trace_) {
+        DecisionTraceEntry& ent = trace_->intervals.back();
+        ent.margin_ms = margin;
+        ent.may_reclaim = may_reclaim;
+        ent.chosen = best;
+        ent.candidates.reserve(cands.size());
         for (size_t i = 0; i < cands.size(); ++i) {
-            CandidateTrace ct;
-            ct.kind = cands[i].kind;
-            ct.total_cpu = cands[i].total_cpu;
-            ct.latency_ms = preds[i].latency_ms;
-            ct.p_violation = preds[i].p_violation;
-            ct.outcome = outcomes[i];
-            ent->candidates.push_back(std::move(ct));
+            ent.candidates.push_back({cands[i].kind, cands[i].total_cpu,
+                                      preds[i].latency_ms,
+                                      preds[i].p_violation, outcomes[i]});
         }
     }
-
-    std::vector<double> chosen;
-    if (best >= 0) {
-        chosen = cands[best].alloc;
-        last_pred_p99_ = preds[best].P99();
-        last_pred_pv_ = preds[best].p_violation;
-        count("sinan.scheduler.uncertain_model");
-    } else {
-        chosen.resize(n);
-        for (int i = 0; i < n; ++i) {
-            chosen[i] = std::min(app.tiers[i].max_cpu,
-                                 alloc[i] * (1.0 + cfg_.up_all_ratio) +
-                                     0.2);
-        }
-        last_pred_p99_ = -1.0;
-        last_pred_pv_ = -1.0;
-        count("sinan.scheduler.no_feasible");
-    }
-
-#ifndef SINAN_DISABLE_DCHECKS
-    for (int i = 0; i < n; ++i) {
-        SINAN_DCHECK_BOUNDS(chosen[i], app.tiers[i].min_cpu - 1e-9,
-                            app.tiers[i].max_cpu + 1e-9);
-    }
-#endif
-
-    // Record this interval's victims for Scale Up Victim.
-    std::vector<int> victims;
-    for (int i = 0; i < n; ++i) {
-        if (chosen[i] < alloc[i] - 1e-9)
-            victims.push_back(i);
-    }
-    recent_victims_.push_back(std::move(victims));
-    while (static_cast<int>(recent_victims_.size()) > cfg_.victim_window)
-        recent_victims_.pop_front();
-
     return chosen;
 }
 

@@ -12,6 +12,13 @@
  * and applies the acceptable action using the least total CPU. A safety
  * mechanism upscales every tier after an observed (mispredicted) QoS
  * violation and tracks the model's trust.
+ *
+ * Decide() is that one pipeline for every interval: the telemetry
+ * guard's grade of the observation selects a rung (fresh, graded, or
+ * the degradation ladder) that sets the reference observation, the
+ * evaluation window, the down-candidate policy, the extra margins and
+ * the bookkeeping committed; warm-up, fallback, watchdog, heuristic and
+ * hold are early exits of the same function.
  */
 #ifndef SINAN_CORE_SCHEDULER_H
 #define SINAN_CORE_SCHEDULER_H
@@ -31,7 +38,7 @@ namespace sinan {
  * `--uncertainty=off` maps to enabled=false, so every pre-existing
  * decision sequence is reproduced bit-for-bit unless a run opts in.
  *
- * When enabled, Decide() grades each observation with
+ * When enabled, Decide() uses the graded view of
  * TelemetryGuard::Assess and, for confidence in [floor, 1):
  *  - widens the latency filter by margin_frac * QoS * (1 - confidence)
  *    and the violation-probability thresholds by
@@ -196,43 +203,21 @@ class SinanScheduler : public ResourceManager {
                     const std::vector<double>& alloc,
                     const Application& app) const;
 
-    /** Normal path: fresh telemetry (warm-up / fallback / model). */
-    std::vector<double> DecideFresh(const IntervalObservation& obs,
-                                    const std::vector<double>& alloc,
-                                    const Application& app);
-
-    /**
-     * Graceful degradation on stale/non-finite/absent telemetry:
-     * model on the last-known-good window with reclaim disabled, then
-     * utilization stepping on the last good observation, then hold —
-     * and the blanket-upscale watchdog once the silence persists.
-     */
-    std::vector<double> DecideDegraded(TelemetryHealth health,
-                                       const std::vector<double>& alloc,
-                                       const Application& app,
-                                       const TelemetryAssessment* assess);
-
-    /**
-     * Uncertainty-aware path for partially-trusted telemetry
-     * (confidence in [floor, 1)): the observation is repaired from the
-     * last-known-good picture, the model is consulted with the filter
-     * margins widened by the uncertainty margin, and the step-down
-     * budget shrinks proportionally to confidence. Trust scoring stays
-     * frozen (predictions made on repaired data are never graded), and
-     * the guard's silent counter advances so persistent staleness
-     * decays into the binary ladder.
-     */
-    std::vector<double> DecideUncertain(const TelemetryAssessment& assess,
-                                        const IntervalObservation& obs,
-                                        const std::vector<double>& alloc,
-                                        const Application& app);
-
     /** AutoScaleCons-style utilization stepping (warm-up and the
      *  degraded heuristic); @p aggressive grows every tier. */
     std::vector<double> UtilStep(const IntervalObservation& ref,
                                  const std::vector<double>& alloc,
                                  const Application& app,
                                  bool aggressive) const;
+
+    /** Blanket safety upscale: every tier grows by up_all_ratio plus
+     *  0.2 cores — tiers above 70% utilization on @p hot_ref (may be
+     *  null) by 1.5x instead, and all of them by 1.6x plus 0.4 when
+     *  @p escalate — capped at the per-tier maxima. */
+    std::vector<double> Upscale(const std::vector<double>& alloc,
+                                const Application& app,
+                                const IntervalObservation* hot_ref,
+                                bool escalate) const;
 
     /** Never null; rebindable (see RebindModel). */
     HybridModel* model_;

@@ -5,16 +5,16 @@
  * The paper's scheduler assumes a clean observation every decision
  * interval; real collection pipelines drop intervals, redeliver stale
  * ones, and occasionally emit NaN (and the fault injector reproduces
- * all three). The guard classifies each observation before it reaches
- * HybridModel::Evaluate, remembers the last known-good one as the
- * degraded path's reference, and counts consecutive degraded intervals
- * so the scheduler's watchdog can force a blanket scale-up instead of
- * flying blind forever.
+ * all three). The guard grades each observation (Assess) before it
+ * reaches HybridModel::Evaluate, remembers the last known-good one as
+ * the degraded rungs' reference, and counts consecutive degraded
+ * intervals so the scheduler's watchdog can force a blanket scale-up
+ * instead of flying blind forever.
  *
- * Classify() is const and throws nothing; the scheduler only commits
- * the result (CommitFresh/CommitDegraded) after the rest of the
- * decision has succeeded, which is what preserves Decide()'s strong
- * exception guarantee.
+ * Assess() and Repair() are const; the scheduler only commits the
+ * interval (CommitFresh/CommitDegraded) after the rest of the decision
+ * has succeeded, which is what preserves Decide()'s strong exception
+ * guarantee.
  */
 #ifndef SINAN_CORE_TELEMETRY_GUARD_H
 #define SINAN_CORE_TELEMETRY_GUARD_H
@@ -25,22 +25,21 @@
 namespace sinan {
 
 /**
- * Graded, per-tier view of one observation's quality — the
- * uncertainty-aware extension of the binary Classify() verdict.
+ * Graded, per-tier view of one observation's quality.
  *
- * `health` is exactly what Classify() returns for the same
- * observation, so the trace's telemetry column keeps its meaning.
- * `tier_confidence[i]` grades tier i in [0,1]: 1 for a fresh finite
- * tier, 0 for a non-finite or absent one, and decay^k for an
- * observation that is stale by k intervals (k counts this interval,
- * i.e. k = SilentIntervals() + 1 at assessment time). `confidence`
- * aggregates the latency channel and the tiers with equal weight:
+ * `health` is the binary verdict (fresh / stale / non-finite / absent)
+ * the trace's telemetry column records. `tier_confidence[i]` grades
+ * tier i in [0,1]: 1 for a fresh finite tier, 0 for a non-finite or
+ * absent one, and decay^k for an observation that is stale by k
+ * intervals (k counts this interval, i.e. k = SilentIntervals() + 1
+ * at assessment time). `confidence` aggregates the latency channel
+ * and the tiers with equal weight:
  *   (latency_fresh + sum(tier_confidence)) / (n_tiers + 1),
  * so a single NaN tier in a 6-tier observation with real latency
  * scores 6/7, while a fully blind interval scores 0.
  */
 struct TelemetryAssessment {
-    /** Binary classification (identical to Classify()). */
+    /** Binary classification. */
     TelemetryHealth health = TelemetryHealth::kAbsent;
     /** Per-tier confidence in [0,1]; size = expected tier count. */
     std::vector<double> tier_confidence;
@@ -56,9 +55,6 @@ class TelemetryGuard {
   public:
     /** @param expected_tiers tier count a usable observation carries. */
     explicit TelemetryGuard(int expected_tiers);
-
-    /** Classifies without mutating any state. */
-    TelemetryHealth Classify(const IntervalObservation& obs) const;
 
     /**
      * Grades @p obs per tier without mutating any state.
@@ -100,6 +96,11 @@ class TelemetryGuard {
     void Reset();
 
   private:
+    /** The binary verdict behind Assess(): absent (wrong tier count or
+     *  no latency), non-finite, stale (not newer than the last
+     *  known-good observation), or fresh. */
+    TelemetryHealth Classify(const IntervalObservation& obs) const;
+
     int expected_tiers_;
     IntervalObservation last_good_;
     bool has_last_good_ = false;

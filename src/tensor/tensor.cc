@@ -211,10 +211,30 @@ Tensor::Load(std::istream& in)
     if (!in || rank < 0 || rank > 8)
         throw std::runtime_error("Tensor::Load: corrupt header");
     std::vector<int> shape(rank);
+    uint64_t count = 1;
     for (int i = 0; i < rank; ++i) {
         int32_t v = 0;
         in.read(reinterpret_cast<char*>(&v), sizeof(v));
+        if (!in || v < 0)
+            throw std::runtime_error("Tensor::Load: corrupt header");
         shape[i] = v;
+        if (v != 0 && count > UINT64_MAX / sizeof(float) /
+                                  static_cast<uint64_t>(v))
+            throw std::runtime_error("Tensor::Load: corrupt header");
+        count *= static_cast<uint64_t>(v);
+    }
+    // Bound the claimed payload by what the stream still holds before
+    // allocating it, so a hostile header cannot make Load zero-fill
+    // gigabytes just to report truncation. (Streams that cannot report
+    // a position skip the bound and fail on the read below.)
+    const uint64_t bytes = rank == 0 ? 0 : count * sizeof(float);
+    const std::streamoff here = in.tellg();
+    if (here >= 0) {
+        in.seekg(0, std::ios::end);
+        const std::streamoff left = std::streamoff(in.tellg()) - here;
+        in.seekg(here);
+        if (!in || left < 0 || bytes > static_cast<uint64_t>(left))
+            throw std::runtime_error("Tensor::Load: truncated data");
     }
     Tensor t(shape);
     in.read(reinterpret_cast<char*>(t.Data()),

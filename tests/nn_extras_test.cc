@@ -1,66 +1,18 @@
 /**
  * @file
- * Tests for the NN extras: Adam, Dropout, learning-rate schedules, and
- * SGD gradient clipping.
+ * Tests for the SGD optimizer's extras: gradient clipping, and descent
+ * on a convex quadratic across seeds.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "nn/adam.h"
-#include "nn/dropout.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
-#include "nn/lr_schedule.h"
 #include "nn/optimizer.h"
 
 namespace sinan {
 namespace {
-
-TEST(Adam, RejectsBadHyperparameters)
-{
-    Rng rng(1);
-    Dense d(1, 1, rng);
-    EXPECT_THROW(Adam(d.Params(), 0.0), std::invalid_argument);
-    EXPECT_THROW(Adam(d.Params(), 0.01, 1.0), std::invalid_argument);
-    EXPECT_THROW(Adam(d.Params(), 0.01, 0.9, 1.5),
-                 std::invalid_argument);
-}
-
-TEST(Adam, LearnsLinearRegression)
-{
-    Rng rng(3);
-    Dense d(1, 1, rng);
-    Adam adam(d.Params(), 0.05);
-    for (int step = 0; step < 500; ++step) {
-        Tensor x({8, 1}), y({8, 1});
-        for (int i = 0; i < 8; ++i) {
-            const float v = static_cast<float>(rng.Uniform(-1.0, 1.0));
-            x.At(i, 0) = v;
-            y.At(i, 0) = -1.5f * v + 0.5f;
-        }
-        const LossResult loss = MseLoss(d.Forward(x), y);
-        adam.ZeroGrad();
-        d.Backward(loss.grad);
-        adam.Step();
-    }
-    EXPECT_NEAR(d.Params()[0]->value[0], -1.5f, 0.05);
-    EXPECT_NEAR(d.Params()[1]->value[0], 0.5f, 0.05);
-    EXPECT_EQ(adam.StepCount(), 500);
-}
-
-TEST(Adam, StepSizeBoundedByLearningRate)
-{
-    // Adam's per-step parameter change is bounded (~lr), even for a
-    // huge gradient — unlike plain SGD.
-    Rng rng(5);
-    Dense d(1, 1, rng);
-    const float before = d.Params()[0]->value[0];
-    Adam adam(d.Params(), 0.01);
-    d.Params()[0]->grad[0] = 1e6f;
-    adam.Step();
-    EXPECT_LT(std::abs(d.Params()[0]->value[0] - before), 0.05f);
-}
 
 TEST(SgdClip, LargeGradientIsClipped)
 {
@@ -89,101 +41,10 @@ TEST(SgdClip, SmallGradientsUnaffected)
     EXPECT_FLOAT_EQ(a.Params()[0]->value[0], b.Params()[0]->value[0]);
 }
 
-TEST(Dropout, RejectsBadProbability)
-{
-    EXPECT_THROW(Dropout(-0.1), std::invalid_argument);
-    EXPECT_THROW(Dropout(1.0), std::invalid_argument);
-}
-
-TEST(Dropout, InferenceModeIsIdentity)
-{
-    Dropout drop(0.5, 3);
-    drop.SetTraining(false);
-    Tensor x({4, 4});
-    x.Fill(2.0f);
-    const Tensor y = drop.Forward(x);
-    for (size_t i = 0; i < y.Size(); ++i)
-        EXPECT_FLOAT_EQ(y[i], 2.0f);
-}
-
-TEST(Dropout, TrainingPreservesExpectation)
-{
-    Dropout drop(0.3, 5);
-    Tensor x({100, 100});
-    x.Fill(1.0f);
-    const Tensor y = drop.Forward(x);
-    double mean = 0.0;
-    int zeros = 0;
-    for (size_t i = 0; i < y.Size(); ++i) {
-        mean += static_cast<double>(y[i]);
-        zeros += y[i] == 0.0f;
-    }
-    mean /= static_cast<double>(y.Size());
-    EXPECT_NEAR(mean, 1.0, 0.02); // inverted scaling keeps E[y]=x
-    EXPECT_NEAR(static_cast<double>(zeros) /
-                    static_cast<double>(y.Size()),
-                0.3, 0.02);
-}
-
-TEST(Dropout, BackwardUsesSameMask)
-{
-    Dropout drop(0.5, 9);
-    Tensor x({1, 64});
-    x.Fill(1.0f);
-    const Tensor y = drop.Forward(x);
-    Tensor dy({1, 64});
-    dy.Fill(1.0f);
-    const Tensor dx = drop.Backward(dy);
-    for (size_t i = 0; i < y.Size(); ++i) {
-        if (y[i] == 0.0f)
-            EXPECT_EQ(dx[i], 0.0f);
-        else
-            EXPECT_FLOAT_EQ(dx[i], y[i]); // same 1/(1-p) scale
-    }
-}
-
-TEST(LrSchedules, ExponentialDecays)
-{
-    ExponentialLr lr(0.1, 0.9);
-    EXPECT_DOUBLE_EQ(lr.At(0), 0.1);
-    EXPECT_NEAR(lr.At(2), 0.1 * 0.81, 1e-12);
-    EXPECT_THROW(ExponentialLr(0.0, 0.9), std::invalid_argument);
-}
-
-TEST(LrSchedules, StepDropsAtBoundaries)
-{
-    StepLr lr(1.0, 10, 0.5);
-    EXPECT_DOUBLE_EQ(lr.At(9), 1.0);
-    EXPECT_DOUBLE_EQ(lr.At(10), 0.5);
-    EXPECT_DOUBLE_EQ(lr.At(25), 0.25);
-}
-
-TEST(LrSchedules, CosineAnnealsFromBaseToFloor)
-{
-    CosineLr lr(1.0, 0.1, 100);
-    EXPECT_DOUBLE_EQ(lr.At(0), 1.0);
-    EXPECT_NEAR(lr.At(50), 0.55, 1e-9);
-    EXPECT_DOUBLE_EQ(lr.At(100), 0.1);
-    EXPECT_DOUBLE_EQ(lr.At(1000), 0.1);
-    // Monotone decreasing over the schedule.
-    for (int e = 1; e < 100; ++e)
-        EXPECT_LE(lr.At(e), lr.At(e - 1) + 1e-12);
-}
-
-TEST(LrSchedules, WarmupRampsLinearly)
-{
-    ExponentialLr inner(0.1, 1.0);
-    WarmupLr lr(4, inner);
-    EXPECT_LT(lr.At(0), lr.At(1));
-    EXPECT_LT(lr.At(3), 0.1);
-    EXPECT_DOUBLE_EQ(lr.At(4), 0.1);
-    EXPECT_DOUBLE_EQ(lr.At(50), 0.1);
-}
-
-/** Property: Adam and SGD both strictly reduce a convex quadratic. */
+/** Property: SGD strictly reduces a convex quadratic. */
 class OptimizerDescentTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(OptimizerDescentTest, BothOptimizersDescendQuadratic)
+TEST_P(OptimizerDescentTest, SgdDescendsQuadratic)
 {
     Rng rng(static_cast<uint64_t>(GetParam()));
     Dense d(3, 1, rng);
@@ -194,12 +55,12 @@ TEST_P(OptimizerDescentTest, BothOptimizersDescendQuadratic)
 
     auto eval = [&] { return MseLoss(d.Forward(x), y).value; };
     const double start = eval();
-    Adam adam(d.Params(), 0.02);
+    Sgd sgd(d.Params(), 0.05);
     for (int s = 0; s < 50; ++s) {
         const LossResult l = MseLoss(d.Forward(x), y);
-        adam.ZeroGrad();
+        sgd.ZeroGrad();
         d.Backward(l.grad);
-        adam.Step();
+        sgd.Step();
     }
     EXPECT_LT(eval(), start * 0.5);
 }

@@ -582,14 +582,14 @@ TEST(TelemetryGuardTest, ResetClearsLastGoodAndSilentCounter)
     // An observation older than the last good one is stale...
     const IntervalObservation older =
         MakeObs(f, 5.0, 100, 2.0, 0.5, 90);
-    ASSERT_EQ(guard.Classify(older), TelemetryHealth::kStale);
+    ASSERT_EQ(guard.Assess(older, 0.5).health, TelemetryHealth::kStale);
     guard.Reset();
     EXPECT_FALSE(guard.HasLastGood());
     EXPECT_EQ(guard.SilentIntervals(), 0);
     // ...but after Reset() the staleness reference is gone too — the
     // same observation classifies fresh, proving last_good_ was
     // cleared along with the counter.
-    EXPECT_EQ(guard.Classify(older), TelemetryHealth::kFresh);
+    EXPECT_EQ(guard.Assess(older, 0.5).health, TelemetryHealth::kFresh);
 }
 
 TEST(TelemetryGuardTest, AssessGradesObservationsPerTier)

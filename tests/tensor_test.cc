@@ -5,9 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <new>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/cpu_features.h"
 #include "common/thread_pool.h"
@@ -109,6 +112,61 @@ TEST(Tensor, LoadRejectsCorruptStream)
 {
     std::stringstream ss("garbage");
     EXPECT_THROW(Tensor::Load(ss), std::runtime_error);
+}
+
+/** A serialized header (rank, then dims) with no payload behind it. */
+std::string
+HeaderBytes(const std::vector<int32_t>& dims)
+{
+    std::string bytes;
+    const int32_t rank = static_cast<int32_t>(dims.size());
+    bytes.append(reinterpret_cast<const char*>(&rank), sizeof(rank));
+    for (const int32_t d : dims)
+        bytes.append(reinterpret_cast<const char*>(&d), sizeof(d));
+    return bytes;
+}
+
+void
+ExpectLoadError(const std::string& bytes, const std::string& message)
+{
+    std::stringstream ss(bytes);
+    try {
+        Tensor::Load(ss);
+        FAIL() << "expected Tensor::Load to throw '" << message << "'";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Tensor, LoadRejectsNegativeOrMissingDims)
+{
+    // A negative dim is a corrupt header (a runtime_error), not a
+    // contract violation out of the shape arithmetic.
+    ExpectLoadError(HeaderBytes({4, -3}), "corrupt header");
+    // The header claims rank 2 but ends after the first dim.
+    std::string cut = HeaderBytes({4, 4});
+    cut.resize(cut.size() - 2);
+    ExpectLoadError(cut, "corrupt header");
+    // Dims whose byte count overflows 64 bits.
+    ExpectLoadError(HeaderBytes({1 << 30, 1 << 30, 1 << 30}),
+                    "corrupt header");
+}
+
+TEST(Tensor, LoadBoundsClaimedSizeBeforeAllocating)
+{
+    // 12 bytes claiming 65536 x 16384 floats (4 GiB): rejected against
+    // the bytes left in the stream, before any buffer is acquired.
+    const std::string hostile = HeaderBytes({65536, 16384});
+    ASSERT_EQ(hostile.size(), 12u);
+    const uint64_t before = Tensor::AllocationEvents();
+    ExpectLoadError(hostile, "truncated data");
+    EXPECT_EQ(Tensor::AllocationEvents(), before);
+
+    // One float short of a 2 x 3 payload is truncated too.
+    std::string short_payload = HeaderBytes({2, 3});
+    short_payload.append(5 * sizeof(float), '\0');
+    ExpectLoadError(short_payload, "truncated data");
 }
 
 TEST(MatMul, MatchesHandComputedProduct)
