@@ -614,6 +614,49 @@ CheckSweep(const std::vector<bench::InferenceBenchRow>& rows)
     return ok;
 }
 
+/**
+ * CI gate (SINAN_BENCH_CHECK=1): the int8 trunk at the pool's default
+ * thread count must take at most 1.1x its 1-thread time (the decide
+ * path's regions are one GrainFor block each, so extra threads must not
+ * slow them down). Each side is its fastest single trunk call on 32
+ * candidates; the two sides alternate in rounds so host speed drift
+ * hits both alike.
+ */
+bool
+CheckInt8TrunkThreads()
+{
+    constexpr double kMaxThreadedRatio = 1.1;
+    constexpr int kRounds = 10;
+    constexpr int kCalls = 20;
+    HybridModel& model = SweepModel();
+    const MetricWindow window = MakeWindow(model.Features());
+    const auto cands = MakeCandidates(model.Features(), 32);
+    const int threads = NumThreads();
+    model.SetQuantMode(QuantMode::kInt8);
+    double best_s[2] = {0.0, 0.0}; // 1 thread, `threads` threads
+    for (int round = 0; round < kRounds; ++round) {
+        for (int side = 0; side < 2; ++side) {
+            SetNumThreads(side == 0 ? 1 : threads);
+            (void)model.Evaluate(window, cands);
+            for (int k = 0; k < kCalls; ++k) {
+                EvalStageTimes stages{};
+                benchmark::DoNotOptimize(
+                    model.EvaluateTimed(window, cands, &stages));
+                if ((round == 0 && k == 0) || stages.trunk_s < best_s[side])
+                    best_s[side] = stages.trunk_s;
+            }
+        }
+    }
+    model.SetQuantMode(QuantMode::kOff);
+    const bool ok = best_s[1] <= kMaxThreadedRatio * best_s[0];
+    std::printf("%s: %s trunk %.1f us at %d threads vs %.1f us at 1 "
+                "(need <= %.1fx)\n",
+                ok ? "PASS" : "FAIL", ActiveInt8KernelId(),
+                best_s[1] * 1e6, threads, best_s[0] * 1e6,
+                kMaxThreadedRatio);
+    return ok;
+}
+
 } // namespace
 } // namespace sinan
 
@@ -628,9 +671,10 @@ main(int argc, char** argv)
 
     const auto rows = sinan::RunInferenceSweep("BENCH_inference.json");
     const char* check = std::getenv("SINAN_BENCH_CHECK");
-    if (check != nullptr && std::string(check) == "1" &&
-        !sinan::CheckSweep(rows)) {
-        return 1;
+    if (check != nullptr && std::string(check) == "1") {
+        const bool sweep_ok = sinan::CheckSweep(rows);
+        if (!sinan::CheckInt8TrunkThreads() || !sweep_ok)
+            return 1;
     }
     return 0;
 }

@@ -89,7 +89,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
     // Feature-major bin matrix: binned[f * n + i]. Column-contiguous so
     // the per-feature histogram pass below streams linearly.
     std::vector<uint8_t> binned(static_cast<size_t>(n) * d);
-    ParallelFor(0, d, 1, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, d, GrainFor(n), [&](int64_t lo, int64_t hi) {
         std::vector<float> col(n);
         for (int64_t f = lo; f < hi; ++f) {
             for (int i = 0; i < n; ++i)
@@ -125,7 +125,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
     int since_best = 0;
 
     for (int round = 0; round < cfg_.n_trees; ++round) {
-        ParallelFor(0, n, 1024, [&](int64_t lo, int64_t hi) {
+        ParallelFor(0, n, GrainFor(1), [&](int64_t lo, int64_t hi) {
             for (int64_t i = lo; i < hi; ++i) {
                 if (obj_ == Objective::kLogistic) {
                     const double p = Sigmoid(margin[i]);
@@ -175,7 +175,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                     node_h[s] += hess[i];
                 }
             }
-            ParallelFor(0, d, 1, [&](int64_t lo, int64_t hi) {
+            ParallelFor(0, d, GrainFor(n), [&](int64_t lo, int64_t hi) {
                 for (int64_t f = lo; f < hi; ++f) {
                     const uint8_t* col =
                         &binned[static_cast<size_t>(f) * n];
@@ -204,7 +204,8 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
             };
             std::vector<Split> best_sf(
                 static_cast<size_t>(n_front) * d);
-            ParallelFor(0, d, 1, [&](int64_t lo, int64_t hi) {
+            ParallelFor(0, d, GrainFor(int64_t{n_front} * bins),
+                        [&](int64_t lo, int64_t hi) {
                 for (int64_t f = lo; f < hi; ++f) {
                     const int nb =
                         static_cast<int>(edges[f].size()) + 1;
@@ -286,7 +287,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                 next_depth.push_back(node_depth[s] + 1);
             }
             // Reassign samples to children (disjoint per-sample writes).
-            ParallelFor(0, n, 2048, [&](int64_t lo, int64_t hi) {
+            ParallelFor(0, n, GrainFor(1), [&](int64_t lo, int64_t hi) {
                 for (int64_t i = lo; i < hi; ++i) {
                     if (slot_of[i] < 0)
                         continue;
@@ -307,7 +308,8 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
         }
 
         // Update margins with the completed tree.
-        ParallelFor(0, n, 1024, [&](int64_t lo, int64_t hi) {
+        ParallelFor(0, n, GrainFor(cfg_.max_depth),
+                    [&](int64_t lo, int64_t hi) {
             for (int64_t i = lo; i < hi; ++i) {
                 margin[i] += TreePredict(
                     tree, &train.x[static_cast<size_t>(i) * d]);

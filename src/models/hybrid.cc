@@ -23,36 +23,36 @@ Seconds(Clock::time_point t0, Clock::time_point t1)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/** Writes row @p row's Boosted-Trees feature row into @p out:
+ *  [latent L_f | normalized X_RC | total allocation, current p99, mean
+ *  utilization, traffic]. The one writer of this layout, shared by
+ *  training (TrainBt) and inference (ScoreCandidates), so the two can
+ *  never disagree on it. */
+void
+WriteBtRow(const Tensor& latent, const Tensor& xrc, int row, float cur_p99,
+           float util, float traffic, float* out)
+{
+    const int latent_dim = latent.Dim(1);
+    const int n = xrc.Dim(1);
+    for (int j = 0; j < latent_dim; ++j)
+        out[j] = latent.At(row, j);
+    float total_alloc = 0.0f;
+    for (int j = 0; j < n; ++j) {
+        out[latent_dim + j] = xrc.At(row, j);
+        total_alloc += xrc.At(row, j);
+    }
+    out[latent_dim + n] = total_alloc;
+    out[latent_dim + n + 1] = cur_p99;
+    out[latent_dim + n + 2] = util;
+    out[latent_dim + n + 3] = traffic;
+}
+
 } // namespace
 
 HybridModel::HybridModel(const FeatureConfig& fcfg, const HybridConfig& cfg,
                          uint64_t seed)
     : fcfg_(fcfg), cfg_(cfg), cnn_(fcfg, cfg.cnn, seed), bt_(cfg.bt)
 {
-}
-
-std::vector<float>
-HybridModel::BtRow(const Tensor& latent, int row, const Batch& batch) const
-{
-    const Tensor& xrc = batch.xrc;
-    const int latent_dim = latent.Dim(1);
-    const int n = xrc.Dim(1);
-    std::vector<float> out;
-    out.reserve(static_cast<size_t>(latent_dim + n + 4));
-    for (int j = 0; j < latent_dim; ++j)
-        out.push_back(latent.At(row, j));
-    float total_alloc = 0.0f;
-    for (int j = 0; j < n; ++j) {
-        out.push_back(xrc.At(row, j));
-        total_alloc += xrc.At(row, j);
-    }
-    float cur_p99 = 0.0f, util = 0.0f, traffic = 0.0f;
-    SharedAggregates(batch.xrh, batch.xlh, row, &cur_p99, &util, &traffic);
-    out.push_back(total_alloc);
-    out.push_back(cur_p99);
-    out.push_back(util);
-    out.push_back(traffic);
-    return out;
 }
 
 void
@@ -83,17 +83,15 @@ HybridModel::ScoreCandidates(const Tensor& latent, const Tensor& xrc,
 {
     const int n_cands = pred.Dim(0);
     const int m = pred.Dim(1);
-    const int latent_dim = latent.Dim(1);
-    const int n = xrc.Dim(1);
-    const int nf = latent_dim + n + 4;
+    const int nf = latent.Dim(1) + xrc.Dim(1) + 4;
     bt_rows_.EnsureShape({n_cands, nf});
     out.resize(static_cast<size_t>(n_cands));
 
     // Per-candidate BT scoring is the scheduler's per-interval hot
     // loop (one Predict per Table-1 action); candidates are
-    // independent, so score them in parallel. The feature row layout
-    // matches BtRow exactly: latent, xrc, then the aggregates.
-    ParallelFor(0, n_cands, 8, [&](int64_t lo, int64_t hi) {
+    // independent, so score them in parallel.
+    const int64_t visits = int64_t{bt_.NumTrees()} * cfg_.bt.max_depth;
+    ParallelFor(0, n_cands, GrainFor(visits), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             const int row = static_cast<int>(i);
             Prediction& p = out[static_cast<size_t>(i)];
@@ -103,17 +101,7 @@ HybridModel::ScoreCandidates(const Tensor& latent, const Tensor& xrc,
                     static_cast<double>(pred.At(row, j)) * fcfg_.qos_ms;
             }
             float* fr = bt_rows_.Data() + static_cast<size_t>(i) * nf;
-            for (int j = 0; j < latent_dim; ++j)
-                fr[j] = latent.At(row, j);
-            float total_alloc = 0.0f;
-            for (int j = 0; j < n; ++j) {
-                fr[latent_dim + j] = xrc.At(row, j);
-                total_alloc += xrc.At(row, j);
-            }
-            fr[latent_dim + n] = total_alloc;
-            fr[latent_dim + n + 1] = cur_p99;
-            fr[latent_dim + n + 2] = util;
-            fr[latent_dim + n + 3] = traffic;
+            WriteBtRow(latent, xrc, row, cur_p99, util, traffic, fr);
             p.p_violation = bt_.Predict(fr);
         }
     });
@@ -125,6 +113,7 @@ HybridModel::TrainBt(const Dataset& train, const Dataset& valid,
 {
     auto build = [&](const Dataset& data) {
         GbtDataset out;
+        std::vector<float> row;
         std::vector<int> order(data.samples.size());
         std::iota(order.begin(), order.end(), 0);
         constexpr size_t kChunk = 256;
@@ -133,10 +122,16 @@ HybridModel::TrainBt(const Dataset& train, const Dataset& valid,
             const Batch batch = data.MakeBatch(order, begin, end);
             (void)cnn_.Forward(batch);
             const Tensor& latent = cnn_.Latent();
+            row.resize(static_cast<size_t>(latent.Dim(1) +
+                                           batch.xrc.Dim(1) + 4));
             for (size_t i = begin; i < end; ++i) {
-                out.AddRow(BtRow(latent, static_cast<int>(i - begin),
-                                 batch),
-                           data.samples[order[i]].violation);
+                const int r = static_cast<int>(i - begin);
+                float cur_p99 = 0.0f, util = 0.0f, traffic = 0.0f;
+                SharedAggregates(batch.xrh, batch.xlh, r, &cur_p99, &util,
+                                 &traffic);
+                WriteBtRow(latent, batch.xrc, r, cur_p99, util, traffic,
+                           row.data());
+                out.AddRow(row, data.samples[order[i]].violation);
             }
         }
         return out;
@@ -352,24 +347,18 @@ HybridModel::SetQuantMode(QuantMode mode)
 }
 
 void
-HybridModel::SaveLegacy(std::ostream& out) const
-{
-    cnn_.Save(out);
-    bt_.Save(out);
-    out.write(reinterpret_cast<const char*>(&val_rmse_ms_),
-              sizeof(val_rmse_ms_));
-    out.write(reinterpret_cast<const char*>(&val_rmse_subqos_ms_),
-              sizeof(val_rmse_subqos_ms_));
-}
-
-void
 HybridModel::Save(std::ostream& out) const
 {
     out.write(reinterpret_cast<const char*>(&kModelMagic),
               sizeof(kModelMagic));
     out.write(reinterpret_cast<const char*>(&kModelVersion),
               sizeof(kModelVersion));
-    SaveLegacy(out);
+    cnn_.Save(out);
+    bt_.Save(out);
+    out.write(reinterpret_cast<const char*>(&val_rmse_ms_),
+              sizeof(val_rmse_ms_));
+    out.write(reinterpret_cast<const char*>(&val_rmse_subqos_ms_),
+              sizeof(val_rmse_subqos_ms_));
     const int32_t has_quant = cnn_.Int8Ready() ? 1 : 0;
     out.write(reinterpret_cast<const char*>(&has_quant),
               sizeof(has_quant));
@@ -381,8 +370,21 @@ HybridModel::Save(std::ostream& out) const
 }
 
 void
-HybridModel::LoadLegacyPayload(std::istream& in)
+HybridModel::Load(std::istream& in)
 {
+    int32_t header[2] = {0, 0}; // magic, version
+    in.read(reinterpret_cast<char*>(header), sizeof(header));
+    if (!in)
+        throw std::runtime_error("HybridModel::Load: truncated stream");
+    if (header[0] != kModelMagic)
+        throw std::runtime_error(
+            "HybridModel::Load: missing SINN magic (not a model "
+            "container)");
+    if (header[1] != kModelVersion)
+        throw std::runtime_error(
+            "HybridModel::Load: unsupported model format version " +
+            std::to_string(header[1]) + " (this build reads version " +
+            std::to_string(kModelVersion) + ")");
     cnn_.Load(in);
     bt_.Load(in);
     in.read(reinterpret_cast<char*>(&val_rmse_ms_), sizeof(val_rmse_ms_));
@@ -390,34 +392,6 @@ HybridModel::LoadLegacyPayload(std::istream& in)
             sizeof(val_rmse_subqos_ms_));
     if (!in)
         throw std::runtime_error("HybridModel::Load: truncated stream");
-}
-
-void
-HybridModel::Load(std::istream& in)
-{
-    // Sniff the first word: versioned containers start with the magic,
-    // legacy streams with a small tensor rank. Rewind for the latter.
-    const std::istream::pos_type start = in.tellg();
-    int32_t first = 0;
-    in.read(reinterpret_cast<char*>(&first), sizeof(first));
-    if (!in)
-        throw std::runtime_error("HybridModel::Load: truncated stream");
-    if (first != kModelMagic) {
-        in.seekg(start);
-        LoadLegacyPayload(in);
-        return;
-    }
-    int32_t version = 0;
-    in.read(reinterpret_cast<char*>(&version), sizeof(version));
-    if (!in)
-        throw std::runtime_error("HybridModel::Load: truncated stream");
-    if (version != kModelVersion)
-        throw std::runtime_error(
-            "HybridModel::Load: unsupported model format version " +
-            std::to_string(version) + " (this build reads version " +
-            std::to_string(kModelVersion) +
-            " and legacy pre-container files)");
-    LoadLegacyPayload(in);
     int32_t has_quant = 0;
     in.read(reinterpret_cast<char*>(&has_quant), sizeof(has_quant));
     if (!in)

@@ -62,12 +62,10 @@ struct EvalStageTimes {
 };
 
 /**
- * Versioned model-container header. Legacy files (any stream whose
- * first int32 is a plausible tensor rank, i.e. written before the
- * container existed) remain loadable: Load sniffs the first word and
- * rewinds. The magic is deliberately > 8 so an old reader handed a new
- * file fails its Tensor rank check with a clear "corrupt header" error
- * instead of misparsing the payload.
+ * Versioned model-container header. Load requires both: a stream without
+ * the magic is rejected by name. The magic is deliberately > 8 so a
+ * pre-container reader handed a new file fails its Tensor rank check
+ * with a clear "corrupt header" error instead of misparsing the payload.
  */
 constexpr int32_t kModelMagic = 0x4e4e4953;   // "SINN" little-endian
 constexpr int32_t kModelVersion = 2;          // v2: + quant section
@@ -161,19 +159,14 @@ class HybridModel {
     bool Int8Calibrated() const { return cnn_.Int8Ready(); }
 
     /**
-     * Serializes the versioned container: magic, version, the legacy
-     * payload (CNN weights, BT trees, RMSE floats), then the quant
-     * section (flag + activation scales when calibrated).
+     * Serializes the versioned container: magic, version, the payload
+     * (CNN weights, BT trees, RMSE floats), then the quant section
+     * (flag + activation scales when calibrated).
      */
     void Save(std::ostream& out) const;
 
-    /** Writes the pre-container legacy layout (format round-trip
-     *  tests; old readers parse this directly). */
-    void SaveLegacy(std::ostream& out) const;
-
-    /** Loads either a versioned container or a legacy stream
-     *  (auto-detected). Rejects unknown future versions with a clear
-     *  error. */
+    /** Loads a versioned container. Rejects a stream without the magic
+     *  and any version other than kModelVersion, naming either. */
     void Load(std::istream& in);
 
     /**
@@ -189,13 +182,6 @@ class HybridModel {
     HybridModel(const HybridModel&) = default;
 
   private:
-    /** BT feature row: latent L_f, the normalized X_RC, and digested
-     *  aggregates (total allocation, current p99, mean utilization,
-     *  traffic level) that let the trees anchor the load-vs-allocation
-     *  boundary without relying on latent extrapolation. */
-    std::vector<float> BtRow(const Tensor& latent, int row,
-                             const Batch& batch) const;
-
     /** Aggregates shared by every candidate of one window: current
      *  p99, mean utilization, and traffic from the newest history
      *  step of the given (single- or multi-row) inputs. */
@@ -205,7 +191,11 @@ class HybridModel {
 
     /** Scores candidates from per-row latent/xrc tensors into @p out,
      *  writing BT feature rows into the workspace (shared by both
-     *  evaluation paths; bit-identical to the legacy BtRow loop). */
+     *  evaluation paths). A BT feature row is the latent L_f, the
+     *  normalized X_RC, and digested aggregates (total allocation,
+     *  current p99, mean utilization, traffic level) that let the trees
+     *  anchor the load-vs-allocation boundary without relying on
+     *  latent extrapolation. */
     void ScoreCandidates(const Tensor& latent, const Tensor& xrc,
                          const Tensor& pred, float cur_p99, float util,
                          float traffic, std::vector<Prediction>& out);
@@ -213,10 +203,6 @@ class HybridModel {
     /** Fits the BT on the CNN's latents; fills the BT report fields. */
     void TrainBt(const Dataset& train, const Dataset& valid,
                  HybridReport& report);
-
-    /** Reads the legacy payload (shared by the legacy and versioned
-     *  Load paths). */
-    void LoadLegacyPayload(std::istream& in);
 
     FeatureConfig fcfg_;
     HybridConfig cfg_;

@@ -212,9 +212,10 @@ SinanCnn::ForwardTrunkInt8(CnnEvalWorkspace& ws) const
     SINAN_CHECK_EQ(ws.xlh.Dim(0), 1);
     // Fully fused conv stack: the activations stay u8 from the input
     // image until rh_fc's accumulators — relu and the next layer's
-    // quantization are folded into each requantize pass, which is
-    // byte-identical to the unfused int8 sequence (see nn/quant.h) and
-    // skips two fp32 round trips.
+    // quantization are folded into each requantize pass, which skips
+    // two fp32 round trips and is exact because q(relu(v)) =
+    // max(q(v), 128) (see QuantizedConvForwardU8 in nn/quant.h and the
+    // RequantReluScalarMatchesDispatchBytes test).
     const int in_c = ws.xrh.Dim(1);
     const int h = ws.xrh.Dim(2);
     const int w = ws.xrh.Dim(3);

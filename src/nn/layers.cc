@@ -14,9 +14,9 @@ namespace sinan {
 
 namespace {
 
-/** Batch rows per ParallelFor block for the conv loops. Fixed (not a
- *  function of the thread count) so the per-block gradient partials of
- *  Conv2D::Backward reduce in the same order at any parallelism. */
+/** Batch rows per ParallelFor block of Conv2D::Backward — the one
+ *  kernel grain that is not GrainFor: the per-block gradient partials
+ *  are reduced in block order, so this grain fixes the bytes. */
 constexpr int64_t kConvBatchGrain = 4;
 
 /** Output channels per forward-matmul block. Fixed so the block
@@ -55,7 +55,7 @@ Dense::ForwardInto(const Tensor& x, Tensor& y) const
     y.EnsureShape({x.Dim(0), w_.value.Dim(1)});
     MatMul(x, w_.value, y);
     const int out = b_.value.Dim(0);
-    ParallelFor(0, x.Dim(0), 256, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, x.Dim(0), GrainFor(out), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             float* row = y.Data() + static_cast<size_t>(i) * out;
             for (int j = 0; j < out; ++j)
@@ -75,7 +75,7 @@ Dense::Backward(const Tensor& dy)
     const int out = w_.value.Dim(1);
     // Column-blocked: each block owns a disjoint range of bias slots,
     // accumulating over the batch in the same order as the serial loop.
-    ParallelFor(0, out, 64, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, out, GrainFor(batch), [&](int64_t lo, int64_t hi) {
         for (int i = 0; i < batch; ++i) {
             const float* row = dy.Data() + static_cast<size_t>(i) * out;
             for (int64_t j = lo; j < hi; ++j)
@@ -184,7 +184,7 @@ Conv2D::ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const
     // with zeros outside the image. A padding zero contributes exactly
     // 0.0f to the accumulation, so including it (instead of the old
     // bounds-check skip) leaves every sum bit-identical.
-    ParallelFor(0, batch, 1, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, batch, GrainFor(ckk64 * hw64), [&](int64_t lo, int64_t hi) {
         for (int64_t bi = lo; bi < hi; ++bi) {
             const float* xb =
                 x.Data() + static_cast<size_t>(bi) * in_c * hw;
@@ -237,7 +237,8 @@ Conv2D::ForwardInto(const Tensor& x, Tensor& y, Tensor& col) const
     const GemmRowsFn kern = ActiveGemmRows();
     const int64_t oc_blocks =
         (out_c + kConvOcBlock - 1) / kConvOcBlock;
-    ParallelFor(0, batch * oc_blocks, 1, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, batch * oc_blocks, GrainFor(kConvOcBlock * ckk64 * hw64),
+                [&](int64_t lo, int64_t hi) {
         for (int64_t idx = lo; idx < hi; ++idx) {
             const int64_t bi = idx / oc_blocks;
             const int64_t oc0 = (idx % oc_blocks) * kConvOcBlock;

@@ -20,15 +20,6 @@ RoundNearest(float v)
     return static_cast<int32_t>(v >= 0.0f ? v + 0.5f : v - 0.5f);
 }
 
-/** Rows per ParallelFor block of the quantized dense loops. Fixed so
- *  the block structure never depends on the thread count (the int8
- *  sums are exact either way; this just keeps the parallel shape
- *  aligned with the fp32 path's conventions). */
-constexpr int64_t kQuantRowGrain = 8;
-
-/** im2col / conv-GEMM position rows per ParallelFor block. */
-constexpr int64_t kQuantPosGrain = 32;
-
 /** Inline word-at-a-time copy for the short (~kernel * in_c byte)
  *  im2col runs — a library memcpy call per run would cost more than
  *  the copy itself. Exact-size: never writes past dst + n. */
@@ -57,68 +48,6 @@ FillPad(uint8_t* dst, int64_t n)
         dst[t] = 128;
 }
 
-/**
- * Shared conv core: channel-last im2col + int8 GEMM, leaving the raw
- * int32 accumulators [hw, oc] in ws.Acc for the caller's requantize
- * pass. With patches in (ki, kj, c) order, the bytes of one output
- * position are `kernel` contiguous runs of the channel-last image (one
- * per ki; the kj/c block is contiguous in both source and
- * destination), so the gather is memcpy/memset of ~kernel * in_c bytes
- * instead of per-byte strided writes — this is what moved the int8
- * trunk from parity with fp32 to well under it. All copies are
- * exact-size, so each position row is written only by its own
- * ParallelFor block and the panel is byte-stable at any thread count.
- */
-int32_t*
-ConvInt8Core(const QuantizedLinear& lin, int kernel, const uint8_t* xq,
-             int in_c, int h, int w, Int8Workspace& ws)
-{
-    const int64_t hw = static_cast<int64_t>(h) * w;
-    const int64_t ckk = static_cast<int64_t>(in_c) * kernel * kernel;
-    const int64_t oc = lin.n;
-    SINAN_CHECK_EQ(ckk, lin.k);
-    const int pad = kernel / 2;
-    const int64_t lda = Int8KGroups(ckk) * 4;
-    const int64_t krow = static_cast<int64_t>(kernel) * in_c;
-
-    uint8_t* colq = ws.Col(static_cast<size_t>(hw * lda));
-    ParallelFor(0, h, kQuantRowGrain, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            for (int64_t j = 0; j < w; ++j) {
-                uint8_t* dst = colq + (i * w + j) * lda;
-                for (int ki = 0; ki < kernel; ++ki, dst += krow) {
-                    const int64_t si = i + ki - pad;
-                    if (si < 0 || si >= h) {
-                        // Padded row: byte 128 is the exact image of
-                        // fp32 0.0 under the zero-point-128 scheme.
-                        FillPad(dst, krow);
-                        continue;
-                    }
-                    const int64_t kj0 = std::max<int64_t>(0, pad - j);
-                    const int64_t kj1 =
-                        std::min<int64_t>(kernel, w + pad - j);
-                    if (kj0 > 0)
-                        FillPad(dst, kj0 * in_c);
-                    CopySmall(dst + kj0 * in_c,
-                              xq + (si * w + j - pad + kj0) * in_c,
-                              (kj1 - kj0) * in_c);
-                    if (kj1 < kernel)
-                        FillPad(dst + kj1 * in_c,
-                                (kernel - kj1) * in_c);
-                }
-            }
-        }
-    });
-
-    int32_t* acc = ws.Acc(static_cast<size_t>(hw * oc));
-    std::fill(acc, acc + hw * oc, 0);
-    const GemmInt8RowsFn kern = ActiveGemmInt8Rows();
-    ParallelFor(0, hw, kQuantPosGrain, [&](int64_t lo, int64_t hi) {
-        kern(colq, lda, lin.packed.data(), acc, oc, lo, hi, ckk, oc);
-    });
-    return acc;
-}
-
 } // namespace
 
 bool
@@ -135,12 +64,6 @@ ParseQuantMode(const char* text, QuantMode* out)
         return true;
     }
     return false;
-}
-
-const char*
-QuantModeName(QuantMode mode)
-{
-    return mode == QuantMode::kInt8 ? "int8" : "off";
 }
 
 void
@@ -200,13 +123,6 @@ QuantizedLinear::SetActivationScale(float max_abs)
     requant_scale.assign(w_scale.size(), 0.0f);
     for (size_t j = 0; j < w_scale.size(); ++j)
         requant_scale[j] = act_scale * w_scale[j];
-}
-
-void
-QuantizeActivationsU8(const float* x, int64_t count, float inv_scale,
-                      uint8_t* out)
-{
-    ActiveQuantizeU8()(x, count, inv_scale, out);
 }
 
 void
@@ -289,7 +205,7 @@ QuantizedDenseForward(const QuantizedLinear& lin,
     const int64_t lda = Int8KGroups(in) * 4;
     uint8_t* aq = ws.Act(static_cast<size_t>(batch * lda));
     const QuantizeU8Fn qfn = ActiveQuantizeU8();
-    ParallelFor(0, batch, kQuantRowGrain, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, batch, GrainFor(in), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i)
             qfn(x.Data() + i * in, in, lin.inv_act_scale, aq + i * lda);
     });
@@ -297,12 +213,12 @@ QuantizedDenseForward(const QuantizedLinear& lin,
     int32_t* acc = ws.Acc(static_cast<size_t>(batch * out));
     std::fill(acc, acc + batch * out, 0);
     const GemmInt8RowsFn kern = ActiveGemmInt8Rows();
-    ParallelFor(0, batch, kQuantRowGrain, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, batch, GrainFor(in * out), [&](int64_t lo, int64_t hi) {
         kern(aq, lda, lin.packed.data(), acc, out, lo, hi, in, out);
     });
 
     y.EnsureShape({static_cast<int>(batch), static_cast<int>(out)});
-    ParallelFor(0, batch, kQuantRowGrain, [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, batch, GrainFor(out), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             const int32_t* arow = acc + i * out;
             float* yrow = y.Data() + static_cast<size_t>(i) * out;
@@ -345,42 +261,6 @@ QuantizedDenseForwardU8(const QuantizedLinear& lin,
 }
 
 void
-QuantizedConvForward(const QuantizedLinear& lin,
-                     const std::vector<float>& bias, int kernel,
-                     const Tensor& x, Tensor& y, Int8Workspace& ws)
-{
-    SINAN_CHECK_MSG(lin.Ready(),
-                    "QuantizedConvForward: layer not calibrated");
-    SINAN_CHECK_EQ(x.Rank(), 4);
-    SINAN_CHECK_EQ(x.Dim(0), 1);
-    const int in_c = x.Dim(1), h = x.Dim(2), w = x.Dim(3);
-    const int64_t hw = static_cast<int64_t>(h) * w;
-    const int64_t oc = lin.n;
-    SINAN_CHECK_EQ(bias.size(), static_cast<size_t>(oc));
-
-    // Quantize the input image once (into the channel-last layout the
-    // run-copy im2col consumes); the gather below then only moves
-    // bytes, so padding and overlap cost no further rounding.
-    uint8_t* xq = ws.Act(static_cast<size_t>(in_c) * hw);
-    QuantizeImageChannelLast(x.Data(), in_c, hw, lin.inv_act_scale, xq);
-
-    const int32_t* acc = ConvInt8Core(lin, kernel, xq, in_c, h, w, ws);
-
-    // Requantize back into channel-major planes.
-    y.EnsureShape({1, static_cast<int>(oc), h, w});
-    for (int64_t c = 0; c < oc; ++c) {
-        const float b = bias[static_cast<size_t>(c)];
-        const float rs = lin.requant_scale[static_cast<size_t>(c)];
-        const int32_t zp = 128 * lin.col_sum[static_cast<size_t>(c)];
-        float* yrow = y.Data() + static_cast<size_t>(c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-            yrow[i] =
-                b + rs * static_cast<float>(acc[i * oc + c] - zp);
-        }
-    }
-}
-
-void
 QuantizedConvForwardU8(const QuantizedLinear& lin,
                        const std::vector<float>& bias, int kernel,
                        const uint8_t* xq, int in_c, int h, int w,
@@ -392,7 +272,56 @@ QuantizedConvForwardU8(const QuantizedLinear& lin,
     const int64_t oc = lin.n;
     SINAN_CHECK_EQ(bias.size(), static_cast<size_t>(oc));
 
-    const int32_t* acc = ConvInt8Core(lin, kernel, xq, in_c, h, w, ws);
+    const int64_t ckk = static_cast<int64_t>(in_c) * kernel * kernel;
+    SINAN_CHECK_EQ(ckk, lin.k);
+    const int pad = kernel / 2;
+    const int64_t lda = Int8KGroups(ckk) * 4;
+    const int64_t krow = static_cast<int64_t>(kernel) * in_c;
+
+    // Channel-last im2col: with patches in (ki, kj, c) order, the bytes
+    // of one output position are `kernel` contiguous runs of the
+    // channel-last image (one per ki; the kj/c block is contiguous in
+    // both source and destination), so the gather is memcpy/memset of
+    // ~kernel * in_c bytes instead of per-byte strided writes — this is
+    // what moved the int8 trunk from parity with fp32 to well under it.
+    // All copies are exact-size, so each position row is written only
+    // by its own ParallelFor block and the panel is byte-stable at any
+    // thread count.
+    uint8_t* colq = ws.Col(static_cast<size_t>(hw * lda));
+    ParallelFor(0, h, GrainFor(w * ckk), [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) {
+            for (int64_t j = 0; j < w; ++j) {
+                uint8_t* dst = colq + (i * w + j) * lda;
+                for (int ki = 0; ki < kernel; ++ki, dst += krow) {
+                    const int64_t si = i + ki - pad;
+                    if (si < 0 || si >= h) {
+                        // Padded row: byte 128 is the exact image of
+                        // fp32 0.0 under the zero-point-128 scheme.
+                        FillPad(dst, krow);
+                        continue;
+                    }
+                    const int64_t kj0 = std::max<int64_t>(0, pad - j);
+                    const int64_t kj1 =
+                        std::min<int64_t>(kernel, w + pad - j);
+                    if (kj0 > 0)
+                        FillPad(dst, kj0 * in_c);
+                    CopySmall(dst + kj0 * in_c,
+                              xq + (si * w + j - pad + kj0) * in_c,
+                              (kj1 - kj0) * in_c);
+                    if (kj1 < kernel)
+                        FillPad(dst + kj1 * in_c,
+                                (kernel - kj1) * in_c);
+                }
+            }
+        }
+    });
+
+    int32_t* acc = ws.Acc(static_cast<size_t>(hw * oc));
+    std::fill(acc, acc + hw * oc, 0);
+    const GemmInt8RowsFn kern = ActiveGemmInt8Rows();
+    ParallelFor(0, hw, GrainFor(ckk * oc), [&](int64_t lo, int64_t hi) {
+        kern(colq, lda, lin.packed.data(), acc, oc, lo, hi, ckk, oc);
+    });
     ActiveRequantReluU8()(acc, hw, oc, bias.data(),
                           lin.requant_scale.data(), lin.zp_corr.data(),
                           inv_next, out);

@@ -31,6 +31,12 @@
  * weights; only the activation scales carry calibration information.
  * The model file's versioned quant section therefore stores just the
  * activation scales, and the packed panels are rebuilt on load.
+ *
+ * The forward entry points are exactly what SinanCnn::ForwardTrunkInt8
+ * calls: QuantizeImageChannelLast, then QuantizedConvForwardU8 per conv
+ * layer (fused requantize + relu + next-layer quantize), then
+ * QuantizedDenseForwardU8 (rh_fc, on the conv stack's u8 output) and
+ * QuantizedDenseForward (lh_fc, on fp32 input).
  */
 #ifndef SINAN_NN_QUANT_H
 #define SINAN_NN_QUANT_H
@@ -51,9 +57,6 @@ enum class QuantMode { kOff, kInt8 };
 /** Parses "off" / "int8" (returns false on anything else, leaving
  *  @p out untouched) — the sim_cli --quant flag values. */
 bool ParseQuantMode(const char* text, QuantMode* out);
-
-/** Stable flag-value name of a mode ("off" / "int8"). */
-const char* QuantModeName(QuantMode mode);
 
 /**
  * Scratch buffers of the quantized forward path. Owned by the model's
@@ -137,12 +140,6 @@ struct QuantizedLinear {
     void SetActivationScale(float max_abs);
 };
 
-/** Quantizes @p count activations to u8 with zero point 128 via the
- *  dispatched bulk quantizer (QuantizeU8One semantics — see
- *  tensor/gemm_int8_kernels.h; scalar and AVX2 are byte-identical). */
-void QuantizeActivationsU8(const float* x, int64_t count, float inv_scale,
-                           uint8_t* out);
-
 /**
  * Quantizes a channel-major fp32 image ([C, HW] planes, the Tensor
  * conv layout) into a channel-LAST u8 image xq[p * in_c + c]. The
@@ -197,18 +194,6 @@ void QuantizedDenseForwardU8(const QuantizedLinear& lin,
                              Int8Workspace& ws);
 
 /**
- * Quantized conv forward (odd kernel, "same" zero padding, batch of
- * 1): x [1, C, H, W] fp32 in, y [1, OC, H, W] fp32 out. Internally the
- * product is computed transposed — positions x output channels — so
- * the per-output-channel scales land on GEMM columns; the requantize
- * loop writes the planes back in [OC, H, W] order. Weights must be
- * packed by QuantizeConvWeights (channel-last patch order).
- */
-void QuantizedConvForward(const QuantizedLinear& lin,
-                          const std::vector<float>& bias, int kernel,
-                          const Tensor& x, Tensor& y, Int8Workspace& ws);
-
-/**
  * Fused conv -> relu -> quantize: consumes a channel-last u8 image
  * (QuantizeImageChannelLast, or a previous fused conv) and emits the
  * next layer's quantized input directly — channel-last u8, skipping
@@ -219,11 +204,12 @@ void QuantizedConvForward(const QuantizedLinear& lin,
  * the next layer's lda if it feeds QuantizedDenseForwardU8 — the bytes
  * past OC * H * W are left untouched and multiply packed zeros there).
  *
- * Byte-equivalence with the unfused path: requantization computes the
- * same fp32 value v = bias + rs * (acc - zp) the unfused conv writes,
- * and quantization is monotonic with q(0) = 128, so
- * q(relu(v)) = max(q(v), 128) — fused relu is exact, not approximate
- * (see RequantReluU8Scalar in tensor/gemm_int8_kernels.h).
+ * Fused relu is exact, not approximate: requantization computes the
+ * fp32 value v = bias + rs * (acc - zp), and quantization is monotonic
+ * with q(0) = 128, so q(relu(v)) = max(q(v), 128) (see
+ * RequantReluU8Scalar in tensor/gemm_int8_kernels.h). The
+ * RequantReluScalarMatchesDispatchBytes test checks every output byte
+ * against that compose, and the dispatched kernel against the scalar.
  */
 void QuantizedConvForwardU8(const QuantizedLinear& lin,
                             const std::vector<float>& bias, int kernel,

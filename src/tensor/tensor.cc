@@ -259,23 +259,6 @@ CheckMatmul(const Tensor& a, const Tensor& b, const Tensor& c, int m,
     SINAN_CHECK_SHAPE(c, m, n);
 }
 
-/**
- * Rows of C per ParallelFor block: enough inner work (~flops) per block
- * that scheduling overhead stays negligible, collapsing to one block
- * (serial) for small products. Depends only on the shapes, so the block
- * structure — and therefore the result — is thread-count independent
- * (each row of C is written by exactly one block).
- */
-int64_t
-RowGrain(int m, int k, int n)
-{
-    constexpr int64_t kMinWorkPerBlock = 1 << 15;
-    const int64_t row_work =
-        std::max<int64_t>(1, static_cast<int64_t>(k) * n);
-    const int64_t rows = kMinWorkPerBlock / row_work + 1;
-    return std::min<int64_t>(std::max<int64_t>(rows, 1), m);
-}
-
 } // namespace
 
 void
@@ -291,11 +274,11 @@ MatMul(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate)
     const float* bp = b.Data();
     float* cp = c.Data();
     // Row-blocked over C (disjoint per block, structure fixed by
-    // RowGrain) with the dispatched row-panel kernel inside: scalar
+    // GrainFor) with the dispatched row-panel kernel inside: scalar
     // and AVX2 share the ascending-p mul-then-add contract, so the
     // result is bit-identical across kernels and thread counts.
     const GemmRowsFn kern = ActiveGemmRows();
-    ParallelFor(0, m, RowGrain(m, k, n), [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, m, GrainFor(int64_t{k} * n), [&](int64_t lo, int64_t hi) {
         kern(ap, k, bp, n, cp, n, lo, hi, k, n);
     });
 }
@@ -315,7 +298,7 @@ MatMulTa(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate)
     // Row-blocked over C so concurrent blocks never share an output
     // row; per-element accumulation stays in increasing-p order, so the
     // result is bit-identical at any thread count.
-    ParallelFor(0, m, RowGrain(m, k, n), [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, m, GrainFor(int64_t{k} * n), [&](int64_t lo, int64_t hi) {
         for (int p = 0; p < k; ++p) {
             const float* arow = ap + static_cast<size_t>(p) * m;
             const float* brow = bp + static_cast<size_t>(p) * n;
@@ -341,7 +324,7 @@ MatMulTb(const Tensor& a, const Tensor& b, Tensor& c, bool accumulate)
     const float* ap = a.Data();
     const float* bp = b.Data();
     float* cp = c.Data();
-    ParallelFor(0, m, RowGrain(m, k, n), [&](int64_t lo, int64_t hi) {
+    ParallelFor(0, m, GrainFor(int64_t{k} * n), [&](int64_t lo, int64_t hi) {
         for (int64_t i = lo; i < hi; ++i) {
             const float* arow = ap + static_cast<size_t>(i) * k;
             float* crow = cp + static_cast<size_t>(i) * n;

@@ -2,11 +2,13 @@
  * @file
  * Tests for the shared thread pool: construction/teardown, exact-once
  * ParallelFor coverage with the documented block structure, nested
- * submission safety, a tiny-task stress run, and exception propagation.
+ * submission safety, a tiny-task stress run, exception propagation,
+ * and the shape-only GrainFor rule.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -203,6 +205,30 @@ TEST(ThreadPoolTest, SetNumThreadsResizesAndRestoresDefault)
     // <= 0 restores the default (SINAN_THREADS or hardware).
     SetNumThreads(0);
     EXPECT_EQ(NumThreads(), def);
+}
+
+TEST(ThreadPoolTest, GrainForIsShapeOnlyAndNonIncreasing)
+{
+    const std::vector<int64_t> works = {-5,      0,       1,      2,
+                                        3,       64,      1000,   1 << 15,
+                                        1 << 19, 1 << 20, 1 << 30,
+                                        INT64_MAX};
+    std::vector<int64_t> before;
+    for (const int64_t w : works)
+        before.push_back(GrainFor(w));
+    for (size_t i = 0; i < works.size(); ++i) {
+        EXPECT_GE(before[i], 1) << "work " << works[i];
+        if (i > 0) {
+            EXPECT_LE(before[i], before[i - 1]) << "work " << works[i];
+        }
+    }
+    // The grain depends on the shape only, never on the pool size.
+    for (int threads : {1, 8}) {
+        ScopedThreads scoped(threads);
+        for (size_t i = 0; i < works.size(); ++i)
+            EXPECT_EQ(GrainFor(works[i]), before[i])
+                << "work " << works[i] << " at " << threads << " threads";
+    }
 }
 
 TEST(ThreadPoolTest, OnWorkerThreadFlag)
