@@ -126,9 +126,9 @@ GetTrainedSinan(const Application& app, const PipelineConfig& cfg,
                 std::printf("[cache] loaded %s\n", path.c_str());
                 return out;
             }
-            // Pre-quantization legacy file: retrain so the cache picks
-            // up activation scales (the int8 benches and parity tests
-            // need a calibrated model).
+            // v2 container without calibration: retrain so the cache
+            // picks up activation scales (the int8 benches and parity
+            // tests need a calibrated model).
             std::printf("[cache] %s lacks quant calibration; retraining\n",
                         path.c_str());
         } catch (const std::exception&) {

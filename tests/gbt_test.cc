@@ -31,14 +31,15 @@ ThresholdDataset(int n, uint64_t seed)
     return d;
 }
 
-/** Labels = XOR(x0>0.5, x1>0.5) — requires depth-2 interaction. */
+/** Labels = XOR(x0>0.5, x1>0.5) — requires depth-2 interaction; the
+ *  other @p n_features - 2 features are noise. */
 GbtDataset
-XorDataset(int n, uint64_t seed)
+XorDataset(int n, uint64_t seed, int n_features = 4)
 {
     Rng rng(seed);
     GbtDataset d;
     for (int i = 0; i < n; ++i) {
-        std::vector<float> row(4);
+        std::vector<float> row(static_cast<size_t>(n_features));
         for (float& v : row)
             v = static_cast<float>(rng.Uniform());
         const bool a = row[0] > 0.5f, b = row[1] > 0.5f;
@@ -292,6 +293,66 @@ TEST(BoostedTrees, TrainingIsBitIdenticalAcrossThreadCounts)
         }
     }
     SetNumThreads(saved);
+}
+
+/** Trains @p cfg on @p train at 1 thread and at 2 and 8 threads; the
+ *  serialized models must match byte for byte. */
+void
+ExpectTrainingThreadParity(const GbtDataset& train, const GbtConfig& cfg)
+{
+    const int saved = NumThreads();
+    SetNumThreads(1);
+    BoostedTrees serial(cfg);
+    serial.Train(train);
+    std::stringstream serial_bytes;
+    serial.Save(serial_bytes);
+    for (int threads : {2, 8}) {
+        SetNumThreads(threads);
+        BoostedTrees parallel(cfg);
+        parallel.Train(train);
+        std::stringstream parallel_bytes;
+        parallel.Save(parallel_bytes);
+        EXPECT_EQ(parallel_bytes.str(), serial_bytes.str())
+            << "serialized model differs at " << threads << " threads";
+    }
+    SetNumThreads(saved);
+}
+
+TEST(BoostedTrees, MultiBlockTrainingIsBitIdenticalAcrossThreadCounts)
+{
+    // The parity test above is one serial block per loop under
+    // GrainFor; these shapes make every training loop split into
+    // several blocks, so the N-thread runs really are concurrent.
+    {
+        // Wide: feature-parallel binning and histograms (work n per
+        // feature), and split search once a level holds 4 nodes (work
+        // 4 * bins per feature).
+        const int n = 1500, d = 600;
+        GbtConfig cfg;
+        cfg.max_depth = 3;
+        cfg.max_bins = 256;
+        cfg.n_trees = 4;
+        cfg.early_stop_rounds = 0;
+        ASSERT_GT(d, GrainFor(n)) << "histograms no longer split";
+        ASSERT_GT(d, GrainFor(int64_t{4} * cfg.max_bins))
+            << "split search no longer splits";
+        SCOPED_TRACE("wide");
+        ExpectTrainingThreadParity(XorDataset(n, 41, d), cfg);
+    }
+    {
+        // Tall: sample-parallel gradients, reassignment and margin
+        // updates (work 1 and max_depth per sample), and one feature
+        // per histogram block.
+        const int n = static_cast<int>(GrainFor(1)) + 4099, d = 2;
+        GbtConfig cfg;
+        cfg.max_depth = 2;
+        cfg.n_trees = 2;
+        cfg.early_stop_rounds = 0;
+        ASSERT_GT(n, GrainFor(1)) << "per-sample loops no longer split";
+        ASSERT_GT(d, GrainFor(n));
+        SCOPED_TRACE("tall");
+        ExpectTrainingThreadParity(XorDataset(n, 42, d), cfg);
+    }
 }
 
 /** Property: predictions are probabilities for any seed/config. */

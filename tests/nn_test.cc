@@ -10,6 +10,7 @@
 #include <functional>
 #include <sstream>
 
+#include "common/thread_pool.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/lstm.h"
@@ -428,6 +429,64 @@ TEST_P(SgdDescentTest, SingleStepReducesLoss)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SgdDescentTest, ::testing::Range(1, 11));
+
+/** Forward then Backward (dL/dy = y) of a freshly built layer at
+ *  @p threads threads: the output, the input gradient and every
+ *  parameter gradient, concatenated. */
+template <typename MakeLayer>
+std::vector<float>
+ForwardBackwardAt(int threads, const MakeLayer& make, const Tensor& x)
+{
+    SetNumThreads(threads);
+    auto layer = make();
+    const Tensor y = layer.Forward(x);
+    for (Param* p : layer.Params())
+        p->ZeroGrad();
+    const Tensor dx = layer.Backward(y);
+    std::vector<float> out(y.Data(), y.Data() + y.Size());
+    out.insert(out.end(), dx.Data(), dx.Data() + dx.Size());
+    for (Param* p : layer.Params())
+        out.insert(out.end(), p->grad.Data(), p->grad.Data() + p->grad.Size());
+    return out;
+}
+
+TEST(LayerParity, MultiBlockDenseAndConvBitIdenticalAcrossThreadCounts)
+{
+    // Batches large enough that the layers' own ParallelFor loops (bias
+    // add, bias gradient, im2col, panel GEMM) and the matmuls they call
+    // split into several GrainFor blocks.
+    const int saved = NumThreads();
+    Rng rng(61);
+    {
+        const int batch = 9000, in = 8, out = 64;
+        ASSERT_GT(batch, GrainFor(out)) << "bias add no longer splits";
+        ASSERT_GT(out, GrainFor(batch)) << "bias grad no longer splits";
+        const Tensor x = Tensor::Randn({batch, in}, rng);
+        auto make = [&] {
+            Rng init(62);
+            return Dense(in, out, init);
+        };
+        const std::vector<float> ref = ForwardBackwardAt(1, make, x);
+        for (int threads : {2, 8})
+            ASSERT_EQ(ForwardBackwardAt(threads, make, x), ref)
+                << "Dense, threads=" << threads;
+    }
+    {
+        const int batch = 128, in_c = 4, out_c = 16, side = 16;
+        ASSERT_GT(batch, GrainFor(int64_t{in_c} * 9 * side * side))
+            << "im2col no longer splits";
+        const Tensor x = Tensor::Randn({batch, in_c, side, side}, rng);
+        auto make = [&] {
+            Rng init(63);
+            return Conv2D(in_c, out_c, 3, init);
+        };
+        const std::vector<float> ref = ForwardBackwardAt(1, make, x);
+        for (int threads : {2, 8})
+            ASSERT_EQ(ForwardBackwardAt(threads, make, x), ref)
+                << "Conv2D, threads=" << threads;
+    }
+    SetNumThreads(saved);
+}
 
 } // namespace
 } // namespace sinan

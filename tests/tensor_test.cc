@@ -372,6 +372,36 @@ TEST(MatMulParity, SimdBitIdenticalAcrossThreadCounts)
     SetSimdMode(saved);
 }
 
+TEST(MatMulParity, MultiBlockShapesBitIdenticalAcrossThreadCounts)
+{
+    // Large enough that GrainFor splits the rows of C into several
+    // blocks, so the N-thread runs really run blocks concurrently (the
+    // small shapes above are one serial block). Both dispatch modes.
+    constexpr int m = 300, k = 64, n = 64;
+    ASSERT_GT(m, GrainFor(int64_t{k} * n)) << "shape no longer splits";
+    Rng rng(33);
+    const Tensor a = Tensor::Randn({m, k}, rng);
+    const Tensor at = Tensor::Randn({k, m}, rng); // stores A^T
+    const Tensor b = Tensor::Randn({k, n}, rng);
+    const Tensor bt = Tensor::Randn({n, k}, rng); // stores B^T
+    const SimdMode saved = CurrentSimdMode();
+    for (SimdMode mode : {SimdMode::kOn, SimdMode::kOff}) {
+        SetSimdMode(mode);
+        for (int threads : {2, 4, 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << "threads " << threads << " simd "
+                         << (mode == SimdMode::kOn ? "on" : "off"));
+            ExpectThreadParity(
+                threads, [&](Tensor& c) { MatMul(a, b, c); }, {m, n});
+            ExpectThreadParity(
+                threads, [&](Tensor& c) { MatMulTa(at, b, c); }, {m, n});
+            ExpectThreadParity(
+                threads, [&](Tensor& c) { MatMulTb(a, bt, c); }, {m, n});
+        }
+    }
+    SetSimdMode(saved);
+}
+
 TEST(Tensor, IndexArithmeticSurvivesPastIntMaxBytes)
 {
     // 16400 * 32768 = 537,395,200 elements (~2.1 GB): the
