@@ -19,6 +19,11 @@
  * policies and every chaos scenario, each digested to one line. Any
  * change to a decision, a trace field or a metric shows up as a
  * changed line of tests/golden/decision_matrix.txt.
+ *
+ * The offline digests pin the paths the matrix never reaches: a short
+ * bandit collection plus hybrid training (the saved model bytes), a
+ * PowerChief timeline, and one LIME explanation of the trained CNN
+ * (tests/golden/offline_digests.txt).
  */
 #include <gtest/gtest.h>
 
@@ -35,7 +40,9 @@
 #include <vector>
 
 #include "app/apps.h"
+#include "baselines/powerchief.h"
 #include "core/scheduler.h"
+#include "explain/lime.h"
 #include "harness/harness.h"
 #include "harness/telemetry_log.h"
 
@@ -321,6 +328,75 @@ TEST(GoldenTraceTest, DecisionMatrixMatchesPinnedDigests)
     EXPECT_EQ(reached[0].count(DecisionKind::kUncertainModel), 0u);
     EXPECT_EQ(reached[1].size(), 10u);
     CheckGolden("decision_matrix.txt", rendered);
+}
+
+// ---- offline paths -------------------------------------------------
+
+/** Appends @p v to @p out in round-trip precision. */
+void
+AppendExact(std::string& out, double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g,", v);
+    out += buf;
+}
+
+std::string
+DigestLine(const char* label, const std::string& bytes)
+{
+    char line[128];
+    std::snprintf(line, sizeof line, "%s %016" PRIx64 "\n", label,
+                  Fnv1a(bytes));
+    return line;
+}
+
+TEST(GoldenTraceTest, OfflinePathsMatchPinnedDigests)
+{
+    const Application social = BuildSocialNetwork();
+    std::string rendered;
+
+    // Bandit collection + CNN/BT training, scaled down to one epoch and
+    // a handful of trees: the saved container pins the explorer, the
+    // load schedule, the feature scales, the optimizer and the trees.
+    PipelineConfig pcfg;
+    pcfg.collect_s = 300.0;
+    pcfg.users_min = 50.0;
+    pcfg.users_max = 350.0;
+    pcfg.hybrid = DefaultHybridConfig();
+    pcfg.hybrid.train.epochs = 1;
+    pcfg.hybrid.bt.n_trees = 16;
+    pcfg.seed = 5;
+    const TrainedSinan trained = TrainSinanForApp(social, pcfg);
+    ASSERT_FALSE(trained.valid.samples.empty());
+    std::ostringstream saved;
+    trained.model->Save(saved);
+    rendered += DigestLine("train-social", saved.str());
+
+    // One LIME explanation of the trained CNN.
+    LimeExplainer lime(trained.model->Cnn(), trained.features);
+    const LimeExplanation e = lime.ExplainTiers(trained.valid.samples[0]);
+    ASSERT_EQ(e.weights.size(), social.tiers.size());
+    std::string weights;
+    for (const double w : e.weights)
+        AppendExact(weights, w);
+    rendered += DigestLine("lime-social", weights);
+
+    // PowerChief's boost / reclaim timeline on the hotel app.
+    const Application hotel = BuildHotelReservation();
+    PowerChief chief;
+    RunConfig rc;
+    rc.duration_s = 200.0;
+    const RunResult r = RunManaged(hotel, chief, ConstantLoad(2500), rc);
+    std::string timeline;
+    for (const IntervalRecord& rec : r.timeline) {
+        AppendExact(timeline, rec.p99_ms);
+        AppendExact(timeline, rec.total_cpu);
+        for (const double a : rec.alloc)
+            AppendExact(timeline, a);
+    }
+    rendered += DigestLine("powerchief-hotel", timeline);
+
+    CheckGolden("offline_digests.txt", rendered);
 }
 
 } // namespace
