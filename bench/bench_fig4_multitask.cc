@@ -31,7 +31,8 @@ void
 TrainMultiTask(MultiTaskNn& net, const Dataset& train,
                const TrainOptions& opts)
 {
-    Sgd sgd(net.Params(), opts.lr, opts.momentum, opts.weight_decay);
+    Sgd sgd(net.Params(), opts.lr, TrainOptions::kMomentum,
+            TrainOptions::kWeightDecay);
     Rng rng(opts.seed);
     std::vector<int> order(train.samples.size());
     std::iota(order.begin(), order.end(), 0);

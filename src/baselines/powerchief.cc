@@ -7,6 +7,22 @@
 
 namespace sinan {
 
+namespace {
+
+/** Boost ratio applied to the bottleneck tier. */
+constexpr double kBoostRatio = 0.30;
+/** Reclaim ratio for idle tiers. */
+constexpr double kReclaimRatio = 0.10;
+/** Utilization below which an unqueued tier is considered idle. */
+constexpr double kIdleUtil = 0.30;
+/** Queueing time (s) below which a tier is queue-free. */
+constexpr double kIdleWaitS = 0.002;
+/** Reclaim floor as a multiple of measured usage (keeps the manager
+ *  from starving tiers outright at low load). */
+constexpr double kReclaimFloorHeadroom = 1.4;
+
+} // namespace
+
 PowerChief::PowerChief(const PowerChiefConfig& cfg)
     : cfg_(cfg)
 {
@@ -36,19 +52,18 @@ PowerChief::Decide(const IntervalObservation& obs,
     // Boost the apparent bottlenecks.
     for (int r = 0; r < cfg_.boost_top_k && r < n; ++r) {
         const int i = order[r];
-        if (queueing(i) <= cfg_.idle_wait_s)
+        if (queueing(i) <= kIdleWaitS)
             break; // nothing is queueing anywhere
-        next[i] = alloc[i] * (1.0 + cfg_.boost_ratio) + 0.2;
+        next[i] = alloc[i] * (1.0 + kBoostRatio) + 0.2;
     }
 
     // Reclaim from stages that show no queue and low utilization, but
     // never below a headroom multiple of their measured usage.
     for (int i = 0; i < n; ++i) {
-        if (queueing(i) <= cfg_.idle_wait_s &&
-            obs.tiers[i].Utilization() < cfg_.idle_util) {
-            next[i] = std::max(alloc[i] * (1.0 - cfg_.reclaim_ratio),
-                               obs.tiers[i].cpu_used *
-                                   cfg_.reclaim_floor_headroom);
+        if (queueing(i) <= kIdleWaitS &&
+            obs.tiers[i].Utilization() < kIdleUtil) {
+            next[i] = std::max(alloc[i] * (1.0 - kReclaimRatio),
+                               obs.tiers[i].cpu_used * kReclaimFloorHeadroom);
         }
     }
 

@@ -20,19 +20,8 @@ namespace sinan {
 
 /** PowerChief knobs. */
 struct PowerChiefConfig {
-    /** Boost ratio applied to the bottleneck tier. */
-    double boost_ratio = 0.30;
     /** How many of the longest-queue tiers get boosted per interval. */
     int boost_top_k = 3;
-    /** Reclaim ratio for idle tiers. */
-    double reclaim_ratio = 0.10;
-    /** Utilization below which an unqueued tier is considered idle. */
-    double idle_util = 0.30;
-    /** Queueing time (s) below which a tier is queue-free. */
-    double idle_wait_s = 0.002;
-    /** Reclaim floor as a multiple of measured usage (keeps the manager
-     *  from starving tiers outright at low load). */
-    double reclaim_floor_headroom = 1.4;
 };
 
 /** Queue-driven boosting manager. */

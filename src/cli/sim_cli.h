@@ -19,6 +19,7 @@
 #define SINAN_CLI_SIM_CLI_H
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,14 @@ std::string FormatChaosCatalog();
  * --fleet-shard also exits 2 before any simulation starts.
  */
 SimOptions ParseSimArgs(int argc, const char* const* argv);
+
+/**
+ * Collects and trains the Sinan pipeline for one app with the CLI's
+ * --collect / --epochs / --seed knobs; @p hotel selects the hotel load
+ * range. Shared by single-run and fleet mode; prints progress.
+ */
+std::unique_ptr<TrainedSinan> TrainForCli(const Application& app,
+                                          bool hotel, const SimOptions& opt);
 
 /** Maps the parsed options onto a fleet configuration (fleet mode). */
 FleetConfig BuildFleetConfig(const SimOptions& opt);

@@ -5,6 +5,14 @@
 
 namespace sinan {
 
+namespace {
+
+/** Dwell time per random load level of a collection run, seconds. */
+constexpr double kDwellMinS = 20.0;
+constexpr double kDwellMaxS = 45.0;
+
+} // namespace
+
 RandomStepLoad::RandomStepLoad(double users_min, double users_max,
                                double dwell_min_s, double dwell_max_s,
                                double duration_s, uint64_t seed)
@@ -51,8 +59,8 @@ Collect(const Application& app, ResourceManager& policy,
 {
     Simulator sim(cfg.sim);
     Cluster cluster(app, cfg.cluster, cfg.seed);
-    RandomStepLoad load(cfg.users_min, cfg.users_max, cfg.dwell_min_s,
-                        cfg.dwell_max_s, cfg.duration_s, cfg.seed ^ 0x5a5a);
+    RandomStepLoad load(cfg.users_min, cfg.users_max, kDwellMinS, kDwellMaxS,
+                        cfg.duration_s, cfg.seed ^ 0x5a5a);
     WorkloadGenerator gen(cluster, load, cfg.seed ^ 0xc0ffee, 1.0,
                           cfg.bursts);
 

@@ -26,9 +26,6 @@ struct CollectionConfig {
     /** Load schedule range (emulated users). */
     double users_min = 50.0;
     double users_max = 450.0;
-    /** Dwell time per random load level. */
-    double dwell_min_s = 20.0;
-    double dwell_max_s = 45.0;
     /** Feature space (history T, lookahead k, QoS). */
     FeatureConfig features;
     SimConfig sim;
@@ -36,14 +33,6 @@ struct CollectionConfig {
     /** Micro-bursts on by default so the dataset covers transients. */
     BurstOptions bursts = DefaultBursts();
     uint64_t seed = 42;
-
-    static BurstOptions
-    DefaultBursts()
-    {
-        BurstOptions b;
-        b.enabled = true;
-        return b;
-    }
 };
 
 /**

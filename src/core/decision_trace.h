@@ -57,7 +57,8 @@ enum class CandidateOutcome {
     kChosen,
     /** Down-action rejected: healthy streak too short to reclaim. */
     kRejectedHysteresis,
-    /** Down-action rejected: a tier would exceed post_down_util_cap. */
+    /** Down-action rejected: a tier would exceed the utilization cap
+     *  on the smaller allocation. */
     kRejectedPostDownSaturation,
     /** Predicted p99 above QoS minus the (trust-scaled) margin. */
     kRejectedLatencyMargin,

@@ -10,6 +10,37 @@ namespace sinan {
 
 namespace {
 
+// The operating point of Sec. 4.3 and Table 1.
+/** Violation-probability threshold p_d enabling scale-down actions. */
+constexpr double kPDown = 0.08;
+/** Threshold p_u above which holding is unacceptable (scale up). */
+constexpr double kPUp = 0.50;
+/** Single-tier CPU step sizes evaluated (cores). */
+constexpr double kCpuSteps[] = {0.2, 0.6};
+/** Batch scale-down ratio applied to the k least-utilized tiers. */
+constexpr double kBatchDownRatio = 0.10;
+/** Scale-up-all ratio (AWS step-scaling inspired). */
+constexpr double kUpAllRatio = 0.30;
+/** Look-back window (intervals) defining "victim" tiers. */
+constexpr int kVictimWindow = 3;
+/** Utilization above which a tier is never scaled down. */
+constexpr double kUtilCap = 0.90;
+/** A scale-down candidate is rejected if it would push any tier's
+ *  utilization (current usage / candidate limit) above this. */
+constexpr double kPostDownUtilCap = 0.85;
+/** Consecutive comfortably-healthy intervals (p99 below
+ *  kHealthyFrac * QoS) required before reclaiming resources —
+ *  hysteresis against reclaiming into a transient burst. */
+constexpr int kReclaimAfterHealthy = 3;
+constexpr double kHealthyFrac = 0.8;
+/** Mispredictions tolerated before trust is reduced. */
+constexpr int kTrustThreshold = 25;
+/** Upper bound on the latency filter margin as a fraction of QoS (the
+ *  paper subtracts RMSE_valid; with the simulator's unbounded queueing
+ *  spikes the raw RMSE can exceed QoS, which would filter out every
+ *  action). */
+constexpr double kMarginCapFrac = 0.3;
+
 /** Histogram bucket bounds for predicted/observed tail latency (ms). */
 const std::vector<double>&
 LatencyBounds()
@@ -84,7 +115,7 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
         // current one is a phantom: it would duplicate Hold, waste an
         // Evaluate slot, and — flagged as a down action — let a no-op
         // masquerade as a reclaim (e.g. a batch down where every
-        // selected tier sits above util_cap).
+        // selected tier sits above kUtilCap).
         if (kind != ActionKind::kHold && a == alloc)
             return;
         const double total = std::accumulate(a.begin(), a.end(), 0.0);
@@ -96,9 +127,9 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
 
     // Scale Down: single tiers (skipping saturated ones).
     for (int i = 0; i < n; ++i) {
-        if (obs.tiers[i].Utilization() > cfg_.util_cap)
+        if (obs.tiers[i].Utilization() > kUtilCap)
             continue;
-        for (double step : cfg_.cpu_steps) {
+        for (double step : kCpuSteps) {
             if (alloc[i] - step < app.tiers[i].min_cpu - 1e-9)
                 continue;
             std::vector<double> a = alloc;
@@ -120,9 +151,9 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
             std::vector<double> a = alloc;
             for (int j = 0; j < k; ++j) {
                 const int tier = order[j];
-                if (obs.tiers[tier].Utilization() > cfg_.util_cap)
+                if (obs.tiers[tier].Utilization() > kUtilCap)
                     continue;
-                a[tier] *= 1.0 - cfg_.batch_down_ratio;
+                a[tier] *= 1.0 - kBatchDownRatio;
             }
             add(std::move(a), ActionKind::kScaleDownBatch);
         }
@@ -130,7 +161,7 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
 
     // Scale Up: single tiers.
     for (int i = 0; i < n; ++i) {
-        for (double step : cfg_.cpu_steps) {
+        for (double step : kCpuSteps) {
             std::vector<double> a = alloc;
             a[i] += step;
             add(std::move(a), ActionKind::kScaleUp);
@@ -146,7 +177,7 @@ SinanScheduler::BuildCandidates(const IntervalObservation& obs,
         bool any = false;
         for (const std::vector<int>& tiers : recent_victims_) {
             for (int t : tiers) {
-                a[t] = alloc[t] + cfg_.cpu_steps.back();
+                a[t] = alloc[t] + kCpuSteps[std::size(kCpuSteps) - 1];
                 any = true;
             }
         }
@@ -200,7 +231,7 @@ SinanScheduler::Upscale(const std::vector<double>& alloc,
         const bool hot =
             hot_ref != nullptr && hot_ref->tiers[i].Utilization() > 0.7;
         const double factor =
-            escalate ? 1.6 : hot ? 1.5 : 1.0 + cfg_.up_all_ratio;
+            escalate ? 1.6 : hot ? 1.5 : 1.0 + kUpAllRatio;
         const double add = escalate ? 0.4 : 0.2;
         a[i] = std::min(app.tiers[i].max_cpu, a[i] * factor + add);
     }
@@ -277,7 +308,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     const double observed = latency_trusted ? ref->P99() : -1.0;
     const bool violated = latency_trusted && observed > qos;
     const int healthy =
-        latency_trusted && observed <= cfg_.healthy_frac * qos
+        latency_trusted && observed <= kHealthyFrac * qos
             ? healthy_streak_ + 1
             : 0;
 
@@ -293,7 +324,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     bool trust_reduced = trust_reduced_;
     bool trust_lost = false;
     bool trust_restored = false;
-    if (scored && !trust_reduced && mispred > cfg_.trust_threshold) {
+    if (scored && !trust_reduced && mispred > kTrustThreshold) {
         trust_reduced = true;
         trust_lost = true;
     }
@@ -311,7 +342,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
         }
         if (trust_reduced && cfg_.trust_restore_healthy > 0 &&
             healthy >= cfg_.trust_restore_healthy &&
-            mispred <= cfg_.trust_threshold) {
+            mispred <= kTrustThreshold) {
             trust_reduced = false;
             trust_restored = true;
         }
@@ -362,8 +393,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
                     victims.push_back(i);
             }
             recent_victims_.push_back(std::move(victims));
-            while (static_cast<int>(recent_victims_.size()) >
-                   cfg_.victim_window)
+            while (static_cast<int>(recent_victims_.size()) > kVictimWindow)
                 recent_victims_.pop_front();
         }
 
@@ -485,7 +515,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
 
     // Reduced trust makes the latency margin twice as conservative.
     const double margin =
-        std::min(model_->ValRmseSubQosMs(), cfg_.margin_cap_frac * qos) *
+        std::min(model_->ValRmseSubQosMs(), kMarginCapFrac * qos) *
             (trust_reduced ? 2.0 : 1.0) +
         umargin;
 
@@ -493,7 +523,7 @@ SinanScheduler::Decide(const IntervalObservation& obs,
     // The ladder never reclaims: shrinking a tier on a picture that may
     // no longer hold is how a blind manager causes its own violation.
     const bool may_reclaim =
-        !ladder && healthy >= cfg_.reclaim_after_healthy;
+        !ladder && healthy >= kReclaimAfterHealthy;
 
     // Aggressiveness proportional to confidence: the CPU reclaim on
     // offer is capped at confidence times the largest step-down among
@@ -518,15 +548,14 @@ SinanScheduler::Decide(const IntervalObservation& obs,
                 return CandidateOutcome::kRejectedUncertaintyStep;
             // Reject downs that would immediately saturate a tier.
             for (int j = 0; j < n; ++j) {
-                if (ref->tiers[j].cpu_used >
-                    cfg_.post_down_util_cap * c.alloc[j])
+                if (ref->tiers[j].cpu_used > kPostDownUtilCap * c.alloc[j])
                     return CandidateOutcome::kRejectedPostDownSaturation;
             }
         }
         if (!(p.P99() <= qos - margin))
             return CandidateOutcome::kRejectedLatencyMargin;
         const double pv = p.p_violation + pv_widen;
-        if (!(c.IsDown() ? pv < cfg_.p_down : pv < cfg_.p_up))
+        if (!(c.IsDown() ? pv < kPDown : pv < kPUp))
             return CandidateOutcome::kRejectedViolationProb;
         return CandidateOutcome::kNotCheapest;
     };

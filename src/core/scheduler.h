@@ -62,34 +62,15 @@ struct UncertaintyConfig {
     double decay = 0.6;
 };
 
-/** Scheduler thresholds and action-space knobs. */
+/**
+ * The scheduler knobs that callers vary. The Table-1 action steps, the
+ * p_d / p_u violation-probability thresholds and the rest of the
+ * operating point are fixed constants in core/scheduler.cc, as the
+ * paper fixes them (Sec. 4.3).
+ */
 struct SchedulerConfig {
-    /** Violation-probability threshold enabling scale-down actions. */
-    double p_down = 0.08;
-    /** Threshold above which holding is unacceptable (scale up). */
-    double p_up = 0.50;
-    /** Single-tier CPU step sizes evaluated (cores). */
-    std::vector<double> cpu_steps = {0.2, 0.6};
-    /** Batch scale-down ratio applied to the k least-utilized tiers. */
-    double batch_down_ratio = 0.10;
-    /** Scale-up-all ratio (AWS step-scaling inspired). */
-    double up_all_ratio = 0.30;
-    /** Look-back window (intervals) defining "victim" tiers. */
-    int victim_window = 3;
-    /** Utilization above which a tier is never scaled down. */
-    double util_cap = 0.90;
-    /** A scale-down candidate is rejected if it would push any tier's
-     *  utilization (current usage / candidate limit) above this. */
-    double post_down_util_cap = 0.85;
-    /** Consecutive comfortably-healthy intervals (p99 below
-     *  healthy_frac * QoS) required before reclaiming resources —
-     *  hysteresis against reclaiming into a transient burst. */
-    int reclaim_after_healthy = 3;
-    double healthy_frac = 0.8;
     /** Consecutive observed violations before the full-max fallback. */
     int max_fallback_after = 3;
-    /** Mispredictions tolerated before trust is reduced. */
-    int trust_threshold = 25;
     /** Every this many consecutive comfortably-healthy intervals, one
      *  recorded misprediction is forgiven (0 disables decay). The paper
      *  restores trust as predictions prove out; without decay a single
@@ -100,11 +81,6 @@ struct SchedulerConfig {
      *  trust is restored (once mispredictions have decayed back to the
      *  threshold); 0 disables restoration. */
     int trust_restore_healthy = 8;
-    /** Upper bound on the latency filter margin as a fraction of QoS
-     *  (the paper subtracts RMSE_valid; with the simulator's unbounded
-     *  queueing spikes the raw RMSE can exceed QoS, which would filter
-     *  out every action). */
-    double margin_cap_frac = 0.3;
     /** Consecutive degraded-telemetry intervals (absent, stale, or
      *  non-finite observations) after which the watchdog forces a
      *  blanket scale-up every further silent interval — the last
@@ -210,7 +186,7 @@ class SinanScheduler : public ResourceManager {
                                  const Application& app,
                                  bool aggressive) const;
 
-    /** Blanket safety upscale: every tier grows by up_all_ratio plus
+    /** Blanket safety upscale: every tier grows by kUpAllRatio plus
      *  0.2 cores — tiers above 70% utilization on @p hot_ref (may be
      *  null) by 1.5x instead, and all of them by 1.6x plus 0.4 when
      *  @p escalate — capped at the per-tier maxima. */
@@ -231,7 +207,7 @@ class SinanScheduler : public ResourceManager {
      *  allocation-free in steady state; see CnnEvalWorkspace). */
     std::vector<std::vector<double>> eval_allocs_;
 
-    /** Tiers scaled down in the last victim_window intervals. */
+    /** Tiers scaled down in the last kVictimWindow intervals. */
     std::deque<std::vector<int>> recent_victims_;
 
     double last_pred_p99_ = -1.0;

@@ -8,6 +8,19 @@
 
 namespace sinan {
 
+namespace {
+
+/** Number of perturbed samples per explanation. */
+constexpr int kSamples = 256;
+/** Multipliers are drawn uniformly from [low, high]. */
+constexpr double kMultiplierLow = 0.5;
+constexpr double kMultiplierHigh = 1.5;
+/** Ridge regularization of the linear surrogate. */
+constexpr double kRidgeLambda = 1e-3;
+constexpr uint64_t kSeed = 7;
+
+} // namespace
+
 std::vector<double>
 SolveRidge(std::vector<std::vector<double>> a, std::vector<double> b,
            double lambda)
@@ -63,9 +76,8 @@ LimeExplanation::TopK(int k) const
     return order;
 }
 
-LimeExplainer::LimeExplainer(LatencyModel& model, const FeatureConfig& fcfg,
-                             const LimeConfig& cfg)
-    : model_(model), fcfg_(fcfg), cfg_(cfg)
+LimeExplainer::LimeExplainer(LatencyModel& model, const FeatureConfig& fcfg)
+    : model_(model), fcfg_(fcfg)
 {
 }
 
@@ -74,8 +86,8 @@ LimeExplainer::Explain(
     const Sample& x, int n_groups,
     const std::function<void(Sample&, int, double)>& apply)
 {
-    Rng rng(cfg_.seed);
-    const int n = cfg_.n_samples;
+    Rng rng(kSeed);
+    const int n = kSamples;
 
     // Perturbation design matrix: multipliers, centered at 1.
     std::vector<std::vector<double>> z(
@@ -85,8 +97,7 @@ LimeExplainer::Explain(
     for (int i = 0; i < n; ++i) {
         Sample s = x;
         for (int g = 0; g < n_groups; ++g) {
-            const double m =
-                rng.Uniform(cfg_.multiplier_low, cfg_.multiplier_high);
+            const double m = rng.Uniform(kMultiplierLow, kMultiplierHigh);
             z[i][g] = m - 1.0; // centered so the intercept absorbs X
             apply(s, g, m);
         }
@@ -123,7 +134,7 @@ LimeExplainer::Explain(
     for (size_t r = 0; r < d; ++r)
         for (size_t c = 0; c < r; ++c)
             ata[r][c] = ata[c][r];
-    const std::vector<double> w = SolveRidge(ata, aty, cfg_.ridge_lambda);
+    const std::vector<double> w = SolveRidge(ata, aty, kRidgeLambda);
 
     LimeExplanation exp;
     exp.weights.resize(n_groups);

@@ -11,6 +11,7 @@
 #include "baselines/autoscale.h"
 #include "baselines/powerchief.h"
 #include "common/check.h"
+#include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/scheduler.h"
 
@@ -47,13 +48,6 @@ bool
 KnownApp(const std::string& app)
 {
     return app == "hotel" || app == "social";
-}
-
-bool
-KnownManager(const std::string& manager)
-{
-    return manager == "sinan" || manager == "opt" || manager == "cons" ||
-           manager == "powerchief" || manager == "hold";
 }
 
 /**
@@ -96,20 +90,6 @@ ParseOverrideU64(const std::string& value, const std::string& text)
         value.find_first_not_of("0123456789") != std::string::npos)
         BadOverride("bad seed '" + value + "'", text);
     return std::strtoull(value.c_str(), nullptr, 10);
-}
-
-/** Nearest-rank percentile of an unsorted sample (q in [0,1]). */
-double
-Percentile(std::vector<double> xs, double q)
-{
-    if (xs.empty())
-        return 0.0;
-    std::sort(xs.begin(), xs.end());
-    const double rank = q * static_cast<double>(xs.size());
-    int64_t idx = static_cast<int64_t>(std::ceil(rank)) - 1;
-    idx = std::min<int64_t>(std::max<int64_t>(idx, 0),
-                            static_cast<int64_t>(xs.size()) - 1);
-    return xs[static_cast<size_t>(idx)];
 }
 
 /** The injected application for shard-app @p app. Null is a contract
@@ -251,6 +231,13 @@ ResolveFleetShards(const FleetConfig& cfg, const FleetApps& apps)
         specs.push_back(std::move(s));
     }
     return specs;
+}
+
+bool
+KnownManager(const std::string& manager)
+{
+    return manager == "sinan" || manager == "opt" || manager == "cons" ||
+           manager == "powerchief" || manager == "hold";
 }
 
 std::unique_ptr<ResourceManager>
@@ -529,9 +516,9 @@ FleetManager::Run()
         }
         out.decide.mean_ms =
             acc / static_cast<double>(out.decide_ms.size());
-        out.decide.p50_ms = Percentile(out.decide_ms, 0.50);
-        out.decide.p95_ms = Percentile(out.decide_ms, 0.95);
-        out.decide.p99_ms = Percentile(out.decide_ms, 0.99);
+        out.decide.p50_ms = VectorQuantile(out.decide_ms, 0.50);
+        out.decide.p95_ms = VectorQuantile(out.decide_ms, 0.95);
+        out.decide.p99_ms = VectorQuantile(out.decide_ms, 0.99);
     }
     for (const std::unique_ptr<ClonePool>& pool : pools_)
         if (pool)

@@ -100,7 +100,7 @@ struct FleetConfig {
     double warmup_s = 10.0;
     SimConfig sim;
     ClusterConfig cluster;
-    BurstOptions bursts = RunConfig::DefaultBursts();
+    BurstOptions bursts = DefaultBursts();
     /** Fleet seed; per-shard seeds are derived from it and the shard
      *  index unless overridden. */
     uint64_t seed = 1;
@@ -169,8 +169,9 @@ struct FleetIntervalRecord {
     double total_rps = 0.0;
 };
 
-/** Wall-clock percentiles of the per-interval batched decision phase
- *  (nondeterministic; excluded from the deterministic trace). */
+/** Wall-clock percentiles (VectorQuantile, linearly interpolated) of
+ *  the per-interval batched decision phase (nondeterministic; excluded
+ *  from the deterministic trace). */
 struct FleetDecideStats {
     double mean_ms = 0.0;
     double p50_ms = 0.0;
@@ -209,6 +210,10 @@ struct FleetResult {
     int model_clones = 0;
 };
 
+/** True for a manager name the fleet and the CLI accept: "sinan",
+ *  "opt", "cons", "powerchief" or "hold". */
+bool KnownManager(const std::string& manager);
+
 /**
  * Baseline manager factory shared by the fleet and the CLI:
  * "opt", "cons", "powerchief", or "hold". Throws std::invalid_argument
@@ -240,9 +245,6 @@ class FleetManager {
 
     /** Runs the fleet to completion. Call exactly once. */
     FleetResult Run();
-
-    /** Resolved shard specs, in index order. */
-    const std::vector<ShardSpec>& Shards() const { return specs_; }
 
   private:
     struct Shard;

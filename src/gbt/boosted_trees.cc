@@ -15,6 +15,9 @@ namespace sinan {
 
 namespace {
 
+/** L2 regularization on leaf weights. */
+constexpr double kLambda = 1.0;
+
 double
 Sigmoid(double z)
 {
@@ -212,8 +215,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                     for (int s = 0; s < n_front; ++s) {
                         const double G = node_g[s];
                         const double H = node_h[s];
-                        const double parent_score =
-                            G * G / (H + cfg_.lambda);
+                        const double parent_score = G * G / (H + kLambda);
                         Split& out =
                             best_sf[static_cast<size_t>(s) * d + f];
                         const HistCell* cells =
@@ -230,8 +232,8 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                                 continue;
                             }
                             const double gain =
-                                gl * gl / (hl + cfg_.lambda) +
-                                gr * gr / (hr + cfg_.lambda) -
+                                gl * gl / (hl + kLambda) +
+                                gr * gr / (hr + kLambda) -
                                 parent_score - cfg_.gamma;
                             if (gain > out.gain) {
                                 out = Split{gain, static_cast<int>(f),
@@ -264,7 +266,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
                     node.feature = -1;
                     node.value = static_cast<float>(
                         -cfg_.learning_rate * node_g[s] /
-                        (node_h[s] + cfg_.lambda));
+                        (node_h[s] + kLambda));
                     continue;
                 }
                 feature_gain_[best[s].feature] += best[s].gain;

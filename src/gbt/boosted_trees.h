@@ -31,8 +31,6 @@ struct GbtConfig {
     int max_depth = 4;
     /** Shrinkage applied to each tree's contribution. */
     double learning_rate = 0.1;
-    /** L2 regularization on leaf weights. */
-    double lambda = 1.0;
     /** Minimum loss reduction to make a split. */
     double gamma = 0.0;
     /** Minimum hessian mass per child. */

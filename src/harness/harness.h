@@ -39,14 +39,6 @@ struct RunConfig {
      *  the true observation. See sim/fault_injector.h. */
     FaultSchedule faults;
     uint64_t seed = 1;
-
-    static BurstOptions
-    DefaultBursts()
-    {
-        BurstOptions b;
-        b.enabled = true;
-        return b;
-    }
 };
 
 /** Timeline entry captured each interval. */

@@ -40,12 +40,18 @@ BuildHistoryRow(const MetricWindow& window, Tensor& xrh, Tensor& xlh,
             throw std::invalid_argument("BuildInput: tier count mismatch");
         for (int i = 0; i < n; ++i) {
             const TierMetrics& tm = obs.tiers[i];
-            xrh.At(row, 0, i, t) = Clip(tm.cpu_limit / cfg.cpu_scale);
-            xrh.At(row, 1, i, t) = Clip(tm.cpu_used / cfg.cpu_scale);
-            xrh.At(row, 2, i, t) = Clip(tm.rss_mb / cfg.rss_scale);
-            xrh.At(row, 3, i, t) = Clip(tm.cache_mb / cfg.cache_scale);
-            xrh.At(row, 4, i, t) = Clip(tm.rx_pps / cfg.pps_scale);
-            xrh.At(row, 5, i, t) = Clip(tm.tx_pps / cfg.pps_scale);
+            xrh.At(row, 0, i, t) =
+                Clip(tm.cpu_limit / FeatureConfig::kCpuScale);
+            xrh.At(row, 1, i, t) =
+                Clip(tm.cpu_used / FeatureConfig::kCpuScale);
+            xrh.At(row, 2, i, t) =
+                Clip(tm.rss_mb / FeatureConfig::kRssScale);
+            xrh.At(row, 3, i, t) =
+                Clip(tm.cache_mb / FeatureConfig::kCacheScale);
+            xrh.At(row, 4, i, t) =
+                Clip(tm.rx_pps / FeatureConfig::kPpsScale);
+            xrh.At(row, 5, i, t) =
+                Clip(tm.tx_pps / FeatureConfig::kPpsScale);
         }
         for (int p = 0; p < m; ++p) {
             const double lat =
@@ -64,7 +70,7 @@ BuildAllocRow(const FeatureConfig& cfg,
     if (static_cast<int>(next_alloc.size()) != cfg.n_tiers)
         throw std::invalid_argument("BuildInput: allocation size mismatch");
     for (int i = 0; i < cfg.n_tiers; ++i)
-        xrc.At(row, i) = Clip(next_alloc[i] / cfg.cpu_scale);
+        xrc.At(row, i) = Clip(next_alloc[i] / FeatureConfig::kCpuScale);
 }
 
 Sample

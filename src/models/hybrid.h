@@ -133,7 +133,6 @@ class HybridModel {
 
     const FeatureConfig& Features() const { return fcfg_; }
     SinanCnn& Cnn() { return cnn_; }
-    const BoostedTrees& Bt() const { return bt_; }
 
     /**
      * Runs up to @p max_samples calibration samples through the fp32
@@ -152,7 +151,6 @@ class HybridModel {
      * model that never had quantization enabled.
      */
     void SetQuantMode(QuantMode mode);
-    QuantMode GetQuantMode() const { return quant_; }
 
     /** True once CalibrateInt8 has run (or a model with a quant
      *  section was loaded). */

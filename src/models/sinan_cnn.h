@@ -179,7 +179,6 @@ class SinanCnn : public LatencyModel {
     /** Latent representation L_f [B, latent] of the last Forward. */
     const Tensor& Latent() const { return latent_; }
 
-    int LatentSize() const { return cfg_.latent; }
     const FeatureConfig& Features() const { return fcfg_; }
 
   private:

@@ -14,6 +14,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/** Global gradient-norm clip of the optimizer. */
+constexpr double kGradClip = 5.0;
+
 double
 SecondsSince(Clock::time_point t0)
 {
@@ -32,8 +35,8 @@ TrainLatencyModel(LatencyModel& model, const Dataset& train,
     TrainReport report;
     report.n_params = model.NumParams();
 
-    Sgd sgd(model.Params(), opts.lr, opts.momentum, opts.weight_decay,
-            opts.grad_clip);
+    Sgd sgd(model.Params(), opts.lr, TrainOptions::kMomentum,
+            TrainOptions::kWeightDecay, kGradClip);
     Rng rng(opts.seed);
 
     std::vector<int> order(train.samples.size());

@@ -16,8 +16,6 @@ struct TrainOptions {
     int epochs = 20;
     int batch_size = 64;
     double lr = 0.02;
-    double momentum = 0.9;
-    double weight_decay = 1e-4;
     /** Multiplicative learning-rate decay per epoch. */
     double lr_decay = 0.95;
     /** Use the scaled loss of Eq. 2 (false = plain MSE, for ablation). */
@@ -28,10 +26,12 @@ struct TrainOptions {
     double loss_alpha = 5.0;
     /** Gradient leak above the knee (see ScaledMseLoss). */
     double loss_leak = 0.05;
-    /** Global gradient-norm clip (0 disables). */
-    double grad_clip = 5.0;
     /** Minibatch shuffling seed. */
     uint64_t seed = 1;
+
+    /** SGD momentum and L2 weight decay of every training run. */
+    static constexpr double kMomentum = 0.9;
+    static constexpr double kWeightDecay = 1e-4;
 };
 
 /** Accuracy and cost summary of a training run (Table 2's columns). */

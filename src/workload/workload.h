@@ -108,6 +108,16 @@ struct BurstOptions {
     double mult_max = 1.5;
 };
 
+/** Micro-bursts on: the default of managed runs, collection runs and
+ *  fleets, so managers must keep headroom and datasets cover transients. */
+inline BurstOptions
+DefaultBursts()
+{
+    BurstOptions b;
+    b.enabled = true;
+    return b;
+}
+
 /**
  * Poisson open-loop request source bound to a cluster. Register Tick()
  * with the simulator *before* the cluster tick so arrivals of a tick are

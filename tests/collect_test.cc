@@ -61,7 +61,7 @@ TEST(BuildDataset, WindowingAndLabels)
     EXPECT_NEAR(d.samples[0].p99_ms, 100.0, 1e-9);
     // X_RC of the first sample is allocs[3] = 5.0 (normalized).
     EXPECT_FLOAT_EQ(d.samples[0].xrc[0],
-                    static_cast<float>(5.0 / f.cpu_scale));
+                    static_cast<float>(5.0 / FeatureConfig::kCpuScale));
     // Violation-within-k: t=3 looks at obs[4..6] -> includes the spike.
     EXPECT_FLOAT_EQ(d.samples[1].violation, 1.0f);
     // t=2 looks at obs[3..5] -> no violation.
@@ -131,7 +131,7 @@ TEST_F(BanditFixture, ForcedRecoveryBeyondExploreRegion)
 {
     BanditExplorer bandit(cfg_);
     std::vector<double> alloc(app_.tiers.size(), 2.0);
-    const double lat = app_.qos_ms * (1.0 + cfg_.alpha) + 100.0;
+    const double lat = app_.qos_ms * (1.0 + BanditExplorer::kAlpha) + 100.0;
     const IntervalObservation obs =
         MakeObs(features_, 0, 200, 2.0, 0.9, lat);
     const std::vector<double> next = bandit.Decide(obs, alloc, app_);
@@ -293,7 +293,8 @@ TEST_P(BanditSpreadTest, RepeatedStateVisitsMultipleLevels)
             MakeObs(f, step, 200.0, 3.0, 0.5, 150.0);
         alloc = bandit.Decide(obs, alloc, app);
         tier0_levels.insert(
-            static_cast<int>(std::lround(alloc[0] / cfg.quantum)));
+            static_cast<int>(
+                std::lround(alloc[0] / BanditExplorer::kQuantum)));
     }
     EXPECT_GE(tier0_levels.size(), 3u);
 }

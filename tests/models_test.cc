@@ -49,13 +49,14 @@ TEST(BuildInput, ShapesAndNormalization)
                                 f.history}));
     EXPECT_EQ(s.xlh.Dim(0), f.history * f.n_percentiles);
     EXPECT_EQ(s.xrc.Dim(0), f.n_tiers);
-    // cpu_limit channel normalized by cpu_scale.
+    // cpu_limit channel normalized by kCpuScale.
     EXPECT_FLOAT_EQ(s.xrh.At(0, 0, 0),
-                    static_cast<float>(4.0 / f.cpu_scale));
+                    static_cast<float>(4.0 / FeatureConfig::kCpuScale));
     // p99 normalized by QoS: last percentile of each timestep.
     EXPECT_FLOAT_EQ(s.xlh[f.n_percentiles - 1],
                     static_cast<float>(250.0 / f.qos_ms));
-    EXPECT_FLOAT_EQ(s.xrc[0], static_cast<float>(8.0 / f.cpu_scale));
+    EXPECT_FLOAT_EQ(s.xrc[0],
+                    static_cast<float>(8.0 / FeatureConfig::kCpuScale));
 }
 
 TEST(BuildInput, RequiresFullWindowAndMatchingAlloc)

@@ -202,7 +202,7 @@ TEST_F(TelemetryFixture, RejectedDownCandidateCarriesHysteresisReason)
 
     std::vector<double> alloc(app_->tiers.size(), 4.0);
     // Warm up at a p99 that meets QoS but is NOT comfortably healthy
-    // (above healthy_frac * QoS = 400), so the healthy streak stays 0
+    // (above kHealthyFrac * QoS = 400), so the healthy streak stays 0
     // and hysteresis forbids reclaiming.
     alloc = Warmup(sched, alloc, 450.0);
     sched.Decide(MakeObs(*features_, features_->history, 100, alloc[0],
@@ -225,7 +225,7 @@ TEST_F(TelemetryFixture, RejectedDownCandidateCarriesHysteresisReason)
 TEST_F(TelemetryFixture, PhantomNoOpDownCandidatesAreNotEmitted)
 {
     // Regression: when every one of the k least-utilized tiers is above
-    // util_cap, the batch-down loop used to emit a candidate identical
+    // kUtilCap, the batch-down loop used to emit a candidate identical
     // to Hold but flagged as a down action.
     SinanScheduler sched(*model_, SchedulerConfig{});
     DecisionTrace trace;
@@ -233,7 +233,7 @@ TEST_F(TelemetryFixture, PhantomNoOpDownCandidatesAreNotEmitted)
 
     std::vector<double> alloc(app_->tiers.size(), 2.0);
     alloc = Warmup(sched, alloc);
-    // All tiers above util_cap (0.90) but latency healthy: no tier may
+    // All tiers above kUtilCap (0.90) but latency healthy: no tier may
     // be scaled down, so no down candidate of any kind may appear.
     sched.Decide(
         MakeObs(*features_, features_->history, 100, alloc[0], 0.95, 90),
