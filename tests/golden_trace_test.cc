@@ -24,6 +24,11 @@
  * bandit collection plus hybrid training (the saved model bytes), a
  * PowerChief timeline, and one LIME explanation of the trained CNN
  * (tests/golden/offline_digests.txt).
+ *
+ * The simulator digests pin the queueing network underneath all of
+ * them: raw Cluster + WorkloadGenerator runs at a fixed allocation,
+ * with no manager, every observation field and every sampled span
+ * printed in round-trip precision (tests/golden/simulator_digests.txt).
  */
 #include <gtest/gtest.h>
 
@@ -45,6 +50,7 @@
 #include "explain/lime.h"
 #include "harness/harness.h"
 #include "harness/telemetry_log.h"
+#include "workload/workload.h"
 
 namespace sinan {
 namespace {
@@ -397,6 +403,130 @@ TEST(GoldenTraceTest, OfflinePathsMatchPinnedDigests)
     rendered += DigestLine("powerchief-hotel", timeline);
 
     CheckGolden("offline_digests.txt", rendered);
+}
+
+// ---- simulator ----------------------------------------------------
+
+/** Appends every field of @p obs in round-trip precision. */
+void
+AppendObservation(std::string& out, const IntervalObservation& obs)
+{
+    AppendExact(out, obs.time_s);
+    AppendExact(out, obs.rps);
+    AppendExact(out, obs.completed_rps);
+    for (const TierMetrics& m : obs.tiers) {
+        for (const double v :
+             {m.cpu_limit, m.cpu_used, m.rss_mb, m.cache_mb, m.rx_pps,
+              m.tx_pps, m.queue_len, m.active, m.queue_wait_s})
+            AppendExact(out, v);
+    }
+    for (const double v : obs.latency_ms)
+        AppendExact(out, v);
+    out += '\n';
+}
+
+/** Appends every span of @p traces (ids, tiers and timestamps). */
+void
+AppendTraces(std::string& out, const std::vector<Trace>& traces)
+{
+    for (const Trace& t : traces) {
+        out += std::to_string(t.trace_id) + ":" +
+               std::to_string(t.request_type) + ",";
+        AppendExact(out, t.begin_s);
+        AppendExact(out, t.end_s);
+        for (const Span& s : t.spans) {
+            out += std::to_string(s.tier) + "/" +
+                   std::to_string(s.parent_span) +
+                   (s.async ? "a," : "s,");
+            AppendExact(out, s.enqueue_s);
+            AppendExact(out, s.start_s);
+            AppendExact(out, s.end_s);
+        }
+        out += '\n';
+    }
+}
+
+/** Hook run at the start of each simulated second (faults). */
+using SecondHook = void (*)(Cluster&, int second, double now);
+
+/**
+ * Runs @p app under a constant @p users load for @p seconds of 10-ms
+ * ticks, every tier held at @p alloc_frac of its max_cpu, harvesting
+ * each second, and returns the digest input: every observation and,
+ * when tracing is on, every completed trace.
+ */
+std::string
+SimulatorRun(const Application& app, const ClusterConfig& cc,
+             double alloc_frac, double users, int seconds, bool bursts,
+             SecondHook hook = nullptr)
+{
+    constexpr double kDt = 0.01;
+    constexpr int kTicksPerSecond = 100;
+    Cluster cluster(app, cc, 41);
+    std::vector<double> alloc;
+    for (const TierSpec& t : app.tiers)
+        alloc.push_back(t.max_cpu * alloc_frac);
+    cluster.SetAllocation(alloc);
+    const ConstantLoad load(users);
+    WorkloadGenerator gen(cluster, load, 43, 1.0,
+                          bursts ? DefaultBursts() : BurstOptions());
+    std::string out;
+    int64_t tick = 0;
+    for (int sec = 0; sec < seconds; ++sec) {
+        if (hook != nullptr)
+            hook(cluster, sec, static_cast<double>(tick) * kDt);
+        for (int i = 0; i < kTicksPerSecond; ++i, ++tick) {
+            const double now = static_cast<double>(tick) * kDt;
+            gen.Tick(now, kDt);
+            cluster.Tick(now, kDt);
+        }
+        AppendObservation(
+            out, cluster.Harvest(static_cast<double>(tick) * kDt, 1.0));
+        AppendTraces(out, cluster.TakeTraces());
+    }
+    return out;
+}
+
+TEST(GoldenTraceTest, SimulatorMatchesPinnedDigests)
+{
+    const Application hotel = BuildHotelReservation();
+    const Application social = BuildSocialNetwork();
+    std::string rendered;
+
+    // Hotel near saturation with bursts on: admission queues build to
+    // thousands of stages in about half the seconds and drain between
+    // bursts, so slot hand-off and queue order are exercised.
+    rendered += DigestLine(
+        "hotel-3000-bursts",
+        SimulatorRun(hotel, ClusterConfig{}, 0.4, 3000, 300, true));
+
+    // Social with one request in five traced: every span's tier and
+    // enqueue / start / end timestamps enter the digest. Queues build
+    // in about a quarter of the seconds and drain.
+    ClusterConfig traced;
+    traced.trace_sample = 0.2;
+    rendered += DigestLine(
+        "social-450-traced",
+        SimulatorRun(social, traced, 0.3, 450, 120, false));
+
+    // Scaled-out, slower hotel with one injected stall (its queue
+    // spikes) and one capacity loss mid-run.
+    ClusterConfig scaled;
+    scaled.replica_scale = 2;
+    scaled.speed_factor = 0.8;
+    rendered += DigestLine(
+        "hotel-scaled-faults",
+        SimulatorRun(hotel, scaled, 0.5, 2500, 120, true,
+                     [](Cluster& c, int sec, double now) {
+                         if (sec == 40)
+                             c.InjectStall(c.App().TierIndex("search"),
+                                           now + 0.35);
+                         if (sec == 70)
+                             c.SetCapacityFactor(
+                                 c.App().TierIndex("frontend"), 0.6);
+                     }));
+
+    CheckGolden("simulator_digests.txt", rendered);
 }
 
 } // namespace
