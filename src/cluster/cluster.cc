@@ -14,6 +14,9 @@ constexpr double kEpsWork = 1e-12;
 /** Upper bound on sharing rounds per tier per tick (safety net). */
 constexpr int kMaxRounds = 64;
 
+/** Marks a running-set entry whose stage finished this round. */
+constexpr int32_t kTombstone = -1;
+
 } // namespace
 
 Cluster::Cluster(const Application& app, const ClusterConfig& cfg,
@@ -53,19 +56,18 @@ Cluster::FlattenTree(const CallNode& node, std::vector<FlatNode>& out)
     if (node.tier < 0 || node.tier >= static_cast<int>(tiers_.size()))
         throw std::invalid_argument("Cluster: call node has bad tier index");
     const int32_t idx = static_cast<int32_t>(out.size());
-    out.push_back(FlatNode{node.tier, node.demand_s, node.demand_cv,
-                           node.hit_prob, node.async, 0, 0});
+    out.push_back(FlatNode{node.tier,
+                           LogNormalLaw(node.demand_s, node.demand_cv),
+                           node.hit_prob, node.async, 0, 0, 0});
     // Depth-first layout: a node's first child is at idx+1 and sibling
-    // k+1 starts right after sibling k's whole subtree, so FinishLocalWork
-    // can enumerate children by skipping subtrees. We only store the first
-    // child index and the child count.
-    std::vector<int32_t> child_idx;
-    child_idx.reserve(node.children.size());
+    // k+1 starts at sibling k's subtree_end, so FinishLocalWork
+    // enumerates children by jumping from one subtree end to the next.
     for (const CallNode& c : node.children)
-        child_idx.push_back(FlattenTree(c, out));
+        FlattenTree(c, out);
     FlatNode& fn = out[idx];
-    fn.child_begin = child_idx.empty() ? 0 : child_idx.front();
-    fn.child_count = static_cast<int32_t>(child_idx.size());
+    fn.child_begin = node.children.empty() ? 0 : idx + 1;
+    fn.child_count = static_cast<int32_t>(node.children.size());
+    fn.subtree_end = static_cast<int32_t>(out.size());
     return idx;
 }
 
@@ -103,7 +105,7 @@ Cluster::SpawnStage(int16_t type, int32_t node, int32_t parent,
     s.record_latency = record_latency;
     s.parent = parent;
     s.pending_children = 0;
-    s.remaining_s = rng_.LogNormal(fn.demand_s, fn.demand_cv);
+    s.remaining_s = rng_.LogNormal(fn.demand);
     s.enqueue_time = now;
     s.birth_time = birth;
     s.ready_tick = in_tick_ ? tick_id_ + 1 : tick_id_;
@@ -195,9 +197,8 @@ Cluster::TakeTraces()
 void
 Cluster::AdmitFromQueue(TierState& tier, double now)
 {
-    while (tier.active < tier.slots && !tier.queue.empty()) {
-        const int32_t h = tier.queue.front();
-        tier.queue.pop_front();
+    while (tier.active < tier.slots && tier.QueueLen() > 0) {
+        const int32_t h = tier.queue[tier.queue_head++];
         Stage& s = stages_[h];
         s.state = 2; // running
         // Children spawned mid-tick carry the tick-end timestamp while
@@ -212,6 +213,17 @@ Cluster::AdmitFromQueue(TierState& tier, double now)
             span.start_s = std::max(now, span.enqueue_s);
         }
     }
+    // Amortized O(1) per pop: compaction moves fewer elements than
+    // were popped since the last one.
+    if (tier.queue_head == tier.queue.size()) {
+        tier.queue.clear();
+        tier.queue_head = 0;
+    } else if (tier.queue_head > tier.queue.size() / 2) {
+        tier.queue.erase(tier.queue.begin(),
+                         tier.queue.begin() +
+                             static_cast<std::ptrdiff_t>(tier.queue_head));
+        tier.queue_head = 0;
+    }
 }
 
 void
@@ -222,7 +234,8 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
     const int16_t type = stages_[handle].type;
     const int32_t node = stages_[handle].node;
     const double birth = stages_[handle].birth_time;
-    const FlatNode& fn = trees_[type][node];
+    const std::vector<FlatNode>& tree = trees_[type];
+    const FlatNode& fn = tree[node];
 
     const bool invoke_children =
         fn.child_count > 0 && !rng_.Bernoulli(fn.hit_prob);
@@ -232,15 +245,14 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
         return;
     }
 
-    // Spawn all children in parallel. Depth-first flattening means the
-    // k-th child's root index is the previous child's root plus the size
-    // of that child's subtree; the subtree is skipped by a preorder walk.
+    // Spawn all children in parallel; each child's subtree_end is its
+    // next sibling (depth-first flattening).
     const int32_t parent_trace = stages_[handle].trace_idx;
     const int32_t parent_span = stages_[handle].span_idx;
     int32_t child = fn.child_begin;
     int sync_children = 0;
     for (int k = 0; k < fn.child_count; ++k) {
-        const bool async = trees_[type][child].async;
+        const bool async = tree[child].async;
         const int32_t ch = SpawnStage(type, child,
                                       async ? -1 : handle, false,
                                       end_time, birth);
@@ -248,13 +260,7 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
             AttachSpan(ch, parent_trace, parent_span, async, end_time);
         if (!async)
             ++sync_children;
-        int32_t cursor = child;
-        int32_t remaining = 1;
-        while (remaining > 0) {
-            remaining += trees_[type][cursor].child_count - 1;
-            ++cursor;
-        }
-        child = cursor;
+        child = tree[child].subtree_end;
     }
 
     if (sync_children == 0) {
@@ -269,7 +275,9 @@ Cluster::FinishLocalWork(int32_t handle, double end_time)
 void
 Cluster::CompleteStage(int32_t handle, double end_time)
 {
-    Stage s = stages_[handle]; // copy: FreeStage invalidates the slot
+    // Nothing below allocates a stage before FreeStage, so the
+    // reference stays valid until then.
+    const Stage& s = stages_[handle];
     const FlatNode& fn = trees_[s.type][s.node];
     TierState& tier = tiers_[fn.tier];
 
@@ -332,11 +340,17 @@ Cluster::Tick(double now, double dt)
                        tier.capacity_factor * dt * avail;
         const double per_stage_cap = dt * avail; // one core per stage
 
+        // Order is part of the result: cpu_used_acc and cap_s sum the
+        // gives in running order, so a finished stage leaves a
+        // tombstone and one order-preserving compaction per round
+        // removes them all, before admission appends (a freed handle
+        // may be re-admitted in the same round).
+        std::vector<int32_t>& run = tier.running;
         for (int round = 0; round < kMaxRounds && cap_s > kEpsWork;
              ++round) {
             runnable_.clear();
-            for (const int32_t h : tier.running) {
-                Stage& s = stages_[h];
+            for (size_t pos = 0; pos < run.size(); ++pos) {
+                Stage& s = stages_[run[pos]];
                 if (s.last_tick != tick_id_) {
                     s.last_tick = tick_id_;
                     s.consumed_tick_s = 0.0;
@@ -344,7 +358,7 @@ Cluster::Tick(double now, double dt)
                 if (s.ready_tick <= tick_id_ &&
                     s.remaining_s > kEpsWork &&
                     s.consumed_tick_s < per_stage_cap - kEpsWork) {
-                    runnable_.push_back(h);
+                    runnable_.push_back(static_cast<int32_t>(pos));
                 }
             }
             if (runnable_.empty())
@@ -353,7 +367,9 @@ Cluster::Tick(double now, double dt)
             const double share =
                 cap_s / static_cast<double>(runnable_.size());
             bool progressed = false;
-            for (const int32_t h : runnable_) {
+            bool finished = false;
+            for (const int32_t pos : runnable_) {
+                const int32_t h = run[pos];
                 Stage& s = stages_[h];
                 const double give =
                     std::min({share, s.remaining_s,
@@ -367,18 +383,21 @@ Cluster::Tick(double now, double dt)
                 progressed = true;
                 if (s.remaining_s <= kEpsWork) {
                     s.remaining_s = 0.0;
-                    // Remove from running before fan-out.
-                    auto& run = tier.running;
-                    run.erase(std::find(run.begin(), run.end(), h));
+                    run[pos] = kTombstone;
+                    finished = true;
                     FinishLocalWork(h, end_time);
                 }
+            }
+            if (finished) {
+                run.erase(std::remove(run.begin(), run.end(), kTombstone),
+                          run.end());
             }
             if (!progressed)
                 break;
             AdmitFromQueue(tier, now);
         }
 
-        tier.queue_len_acc += static_cast<double>(tier.queue.size());
+        tier.queue_len_acc += static_cast<double>(tier.QueueLen());
         tier.active_acc += static_cast<double>(tier.active);
         ++tier.tick_samples;
     }

@@ -18,8 +18,8 @@
 #ifndef SINAN_CLUSTER_CLUSTER_H
 #define SINAN_CLUSTER_CLUSTER_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/telemetry.h"
@@ -53,10 +53,17 @@ struct TierState {
     int slots = 0;
     /** Occupied slots (running + blocked on children). */
     int active = 0;
-    /** Admission queue of stage handles. */
-    std::deque<int32_t> queue;
-    /** Stages admitted and still owing local CPU work. */
+    /** Admission queue of stage handles: queue[queue_head..] wait, in
+     *  arrival order. Reset when drained, compacted once the head
+     *  passes half the vector. */
+    std::vector<int32_t> queue;
+    size_t queue_head = 0;
+    /** Stages admitted and still owing local CPU work, in admission
+     *  order (the order every sharing round walks them in). */
     std::vector<int32_t> running;
+
+    /** Stages waiting in the admission queue. */
+    size_t QueueLen() const { return queue.size() - queue_head; }
 
     /** Externally imposed capacity multiplier in [0, 1] (fault
      *  injection: capacity loss / noisy neighbor). Invisible to the
@@ -152,14 +159,16 @@ class Cluster {
     /** One node of a flattened call tree. */
     struct FlatNode {
         int tier;
-        double demand_s;
-        double demand_cv;
+        /** Service demand law, precomputed from (demand_s, demand_cv). */
+        LogNormalLaw demand;
         double hit_prob;
         bool async;
         /** Index of the first child (the node right after this one). */
         int32_t child_begin;
         /** Number of direct children. */
         int32_t child_count;
+        /** One past this node's subtree: its next sibling's index. */
+        int32_t subtree_end;
     };
 
     /** In-flight execution of one call-tree node. */
@@ -236,7 +245,8 @@ class Cluster {
     int64_t in_flight_ = 0;
     PercentileDigest latency_;
 
-    // Scratch buffer reused across ticks to avoid reallocations.
+    // Scratch buffer reused across ticks to avoid reallocations:
+    // positions in the current tier's running set.
     std::vector<int32_t> runnable_;
 };
 

@@ -11,13 +11,6 @@
 namespace sinan {
 
 void
-PercentileDigest::Add(double v)
-{
-    samples_.push_back(v);
-    sorted_ = false;
-}
-
-void
 PercentileDigest::Seal()
 {
     if (!sorted_) {

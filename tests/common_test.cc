@@ -5,7 +5,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <thread>
@@ -132,6 +134,42 @@ TEST(Rng, LogNormalZeroMeanReturnsZero)
 {
     Rng rng(13);
     EXPECT_EQ(rng.LogNormal(0.0, 0.3), 0.0);
+}
+
+TEST(Rng, PrecomputedLogNormalLawMatchesMeanCvDrawBitForBit)
+{
+    // The simulator draws every service demand from a LogNormalLaw
+    // built once per call-tree node; each draw must equal both
+    // LogNormal(mean, cv) and the law written out from scratch, and
+    // leave the generator (state and cached normal) where they do.
+    for (const double mean : {-1.0, 0.0, 1e-4, 0.005, 0.2, 3.0}) {
+        for (const double cv : {0.0, 0.3, 1.0, 2.5}) {
+            SCOPED_TRACE(testing::Message()
+                         << "mean=" << mean << " cv=" << cv);
+            const LogNormalLaw law(mean, cv);
+            Rng by_law(99), by_mean_cv(99), by_hand(99);
+            for (int i = 0; i < 3; ++i) {
+                const double a = by_law.LogNormal(law);
+                const double b = by_mean_cv.LogNormal(mean, cv);
+                double c = 0.0;
+                if (mean > 0.0) {
+                    const double sigma2 = std::log(1.0 + cv * cv);
+                    const double mu = std::log(mean) - 0.5 * sigma2;
+                    c = std::exp(by_hand.Normal(mu, std::sqrt(sigma2)));
+                }
+                EXPECT_EQ(std::bit_cast<uint64_t>(a),
+                          std::bit_cast<uint64_t>(b));
+                EXPECT_EQ(std::bit_cast<uint64_t>(a),
+                          std::bit_cast<uint64_t>(c));
+            }
+            const double cached = by_hand.Normal();
+            EXPECT_EQ(by_law.Normal(), cached);
+            EXPECT_EQ(by_mean_cv.Normal(), cached);
+            const uint64_t next = by_hand.NextU64();
+            EXPECT_EQ(by_law.NextU64(), next);
+            EXPECT_EQ(by_mean_cv.NextU64(), next);
+        }
+    }
 }
 
 TEST(Rng, PoissonSmallLambdaMean)
