@@ -145,7 +145,7 @@ PrintChaosTable(const Application& app, TrainedSinan& trained,
         const ChaosScenario& sc = scenarios[i];
         const double fault_end_s =
             static_cast<double>(ParseFaultSpec(sc.spec).EndInterval()) *
-            SimConfig{}.interval_s; // the sweep runs default intervals
+            SimConfig::interval_s;
         for (const auto& [name, results] : by_manager) {
             const RunResult& r = results[i];
             const TelemetrySummary s = SummarizeTelemetry(r.metrics);

@@ -134,7 +134,7 @@ main()
         const TelemetrySummary tel = SummarizeTelemetry(r.metrics);
         const double fault_end_s =
             static_cast<double>(cfg.faults.EndInterval()) *
-            cfg.sim.interval_s;
+            SimConfig::interval_s;
         const int rec = RecoveryIntervals(r, fault_end_s, app.qos_ms);
         std::printf("Degraded decisions %llu (model %llu, heuristic "
                     "%llu, hold %llu); watchdog upscales %llu\n",

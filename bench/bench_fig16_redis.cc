@@ -12,7 +12,6 @@
 
 #include "bench_util.h"
 #include "common/table.h"
-#include "sim/simulator.h"
 #include "workload/workload.h"
 
 namespace sinan {
@@ -35,14 +34,12 @@ RunTrace(bool sync_enabled, double duration_s)
     cluster.SetAllocation(alloc);
     ConstantLoad load(150.0);
     WorkloadGenerator gen(cluster, load, 77);
-    Simulator sim;
     std::vector<std::pair<double, double>> series;
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        series.emplace_back(now, cluster.Harvest(now, 1.0).P99());
-    });
-    sim.RunFor(duration_s);
+    const int64_t intervals = SimConfig::IntervalsIn(duration_s);
+    for (int64_t k = 0; k < intervals; ++k) {
+        const IntervalObservation obs = gen.RunInterval();
+        series.emplace_back(obs.time_s, obs.P99());
+    }
     return series;
 }
 

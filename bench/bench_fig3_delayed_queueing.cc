@@ -11,7 +11,6 @@
 
 #include "cluster/cluster.h"
 #include "common/table.h"
-#include "sim/simulator.h"
 #include "workload/workload.h"
 
 namespace sinan {
@@ -52,17 +51,15 @@ Run(bool eager)
     // the delayed queueing effect.
     StepLoad load({{0.0, 120.0}, {20.0, 280.0}});
     WorkloadGenerator gen(cluster, load, 5);
-    Simulator sim;
     std::vector<std::pair<double, double>> series;
     bool upscaled = false;
     int bad_streak = 0;
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        const IntervalObservation obs = cluster.Harvest(now, 1.0);
+    for (int k = 0; k < 90; ++k) {
+        const IntervalObservation obs = gen.RunInterval();
+        const double now = obs.time_s;
         series.emplace_back(now, obs.P99());
         if (upscaled)
-            return;
+            continue;
         // The eager policy reacts to the input-load signal itself (the
         // paper's blue line: act before the queue builds). The late one
         // is a conventional alarm: it requires the QoS violation to be
@@ -77,8 +74,7 @@ Run(bool eager)
             std::printf("  %s upscale at t=%.0f s (p99=%.0f ms)\n",
                         eager ? "eager" : "late", now, obs.P99());
         }
-    });
-    sim.RunFor(90.0);
+    }
     return series;
 }
 

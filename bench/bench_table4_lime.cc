@@ -16,7 +16,6 @@
 #include "common/table.h"
 #include "explain/lime.h"
 #include "models/hybrid.h"
-#include "sim/simulator.h"
 #include "workload/workload.h"
 
 namespace sinan {

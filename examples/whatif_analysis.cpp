@@ -11,7 +11,6 @@
 #include "app/apps.h"
 #include "explain/whatif.h"
 #include "harness/harness.h"
-#include "sim/simulator.h"
 #include "workload/workload.h"
 
 int
@@ -34,14 +33,9 @@ main()
     Cluster cluster(app, ClusterConfig{}, 3);
     ConstantLoad load(250.0);
     WorkloadGenerator gen(cluster, load, 7);
-    Simulator sim;
     MetricWindow window(trained.features);
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        window.Push(cluster.Harvest(now, 1.0));
-    });
-    sim.RunFor(30.0);
+    for (int k = 0; k < 30; ++k)
+        window.Push(gen.RunInterval());
 
     const std::vector<double> alloc = cluster.Allocation();
     std::printf("frozen state: 250 users, %.1f total cores\n\n",

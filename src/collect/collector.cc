@@ -57,7 +57,6 @@ Dataset
 Collect(const Application& app, ResourceManager& policy,
         const CollectionConfig& cfg)
 {
-    Simulator sim(cfg.sim);
     Cluster cluster(app, cfg.cluster, cfg.seed);
     RandomStepLoad load(cfg.users_min, cfg.users_max, kDwellMinS, kDwellMaxS,
                         cfg.duration_s, cfg.seed ^ 0x5a5a);
@@ -66,20 +65,15 @@ Collect(const Application& app, ResourceManager& policy,
 
     std::vector<IntervalObservation> log;
     std::vector<std::vector<double>> allocs;
-
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
+    const int64_t intervals = SimConfig::IntervalsIn(cfg.duration_s);
+    for (int64_t k = 0; k < intervals; ++k) {
+        IntervalObservation obs = gen.RunInterval();
         allocs.push_back(cluster.Allocation());
-        IntervalObservation obs =
-            cluster.Harvest(now, cfg.sim.interval_s);
         const std::vector<double> next =
-            policy.Decide(obs, cluster.Allocation(), app);
+            policy.Decide(obs, allocs.back(), app);
         cluster.SetAllocation(next);
         log.push_back(std::move(obs));
-    });
-
-    sim.RunFor(cfg.duration_s);
+    }
     return BuildDataset(log, allocs, cfg.features);
 }
 

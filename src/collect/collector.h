@@ -14,7 +14,6 @@
 #include "cluster/cluster.h"
 #include "core/manager.h"
 #include "models/features.h"
-#include "sim/simulator.h"
 #include "workload/workload.h"
 
 namespace sinan {
@@ -28,7 +27,6 @@ struct CollectionConfig {
     double users_max = 450.0;
     /** Feature space (history T, lookahead k, QoS). */
     FeatureConfig features;
-    SimConfig sim;
     ClusterConfig cluster;
     /** Micro-bursts on by default so the dataset covers transients. */
     BurstOptions bursts = DefaultBursts();

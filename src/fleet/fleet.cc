@@ -1,8 +1,10 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <climits>
 #include <cstdlib>
 #include <mutex>
 #include <set>
@@ -83,13 +85,19 @@ ParseOverrideDouble(const std::string& value, const std::string& text)
     return parsed;
 }
 
+/** Digits only; rejects what strtoull would clamp to ULLONG_MAX. */
 uint64_t
 ParseOverrideU64(const std::string& value, const std::string& text)
 {
     if (value.empty() ||
         value.find_first_not_of("0123456789") != std::string::npos)
         BadOverride("bad seed '" + value + "'", text);
-    return std::strtoull(value.c_str(), nullptr, 10);
+    errno = 0;
+    const unsigned long long seed =
+        std::strtoull(value.c_str(), nullptr, 10);
+    if (errno == ERANGE)
+        BadOverride("seed out of range '" + value + "'", text);
+    return seed;
 }
 
 /** The injected application for shard-app @p app. Null is a contract
@@ -117,7 +125,11 @@ ParseShardOverride(const std::string& text)
     if (idx.empty() ||
         idx.find_first_not_of("0123456789") != std::string::npos)
         BadOverride("bad shard index '" + idx + "'", text);
-    ov.index = static_cast<int>(std::strtol(idx.c_str(), nullptr, 10));
+    errno = 0;
+    const long index = std::strtol(idx.c_str(), nullptr, 10);
+    if (errno == ERANGE || index > INT_MAX)
+        BadOverride("shard index out of range '" + idx + "'", text);
+    ov.index = static_cast<int>(index);
 
     std::string rest = text.substr(colon + 1);
     if (rest.empty())
@@ -380,7 +392,6 @@ FleetManager::FleetManager(const FleetConfig& cfg,
         RunConfig rc;
         rc.duration_s = cfg_.duration_s;
         rc.warmup_s = cfg_.warmup_s;
-        rc.sim = cfg_.sim;
         rc.cluster = cfg_.cluster;
         rc.bursts = cfg_.bursts;
         rc.faults = shard->faults;
@@ -477,7 +488,7 @@ FleetManager::Run()
         if (!shard.faults.Empty()) {
             const double fault_end_s =
                 static_cast<double>(shard.faults.EndInterval()) *
-                cfg_.sim.interval_s;
+                SimConfig::interval_s;
             cluster.recovery_intervals = RecoveryIntervals(
                 cluster.result, fault_end_s, shard.app.qos_ms);
         }

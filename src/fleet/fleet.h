@@ -76,7 +76,8 @@ struct ShardOverride {
  * `manager`, `users`, `seed`, and `faults`. Because fault specs embed
  * `,` and `;`, a `faults=` entry consumes the remainder of the string
  * and must therefore come last. Throws std::invalid_argument naming
- * the offending text on malformed input.
+ * the offending text on malformed input, including an index above
+ * INT_MAX and a seed above UINT64_MAX.
  */
 ShardOverride ParseShardOverride(const std::string& text);
 
@@ -98,7 +99,9 @@ struct FleetConfig {
 
     double duration_s = 60.0;
     double warmup_s = 10.0;
-    SimConfig sim;
+    /** Fixed timing, the same for every shard. A member only because
+     *  perfbench/driver.cc reads `cfg.sim.interval_s`. */
+    static constexpr SimConfig sim{};
     ClusterConfig cluster;
     BurstOptions bursts = DefaultBursts();
     /** Fleet seed; per-shard seeds are derived from it and the shard

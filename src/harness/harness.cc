@@ -1,7 +1,6 @@
 #include "harness/harness.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "collect/bandit.h"
@@ -12,20 +11,11 @@ namespace sinan {
 
 ManagedRun::ManagedRun(const Application& app, ResourceManager& manager,
                        const LoadShape& load, const RunConfig& cfg)
-    : app_(app), manager_(manager), cfg_(cfg), sim_(cfg.sim),
+    : app_(app), manager_(manager), cfg_(cfg),
       cluster_(app, cfg.cluster, cfg.seed),
-      gen_(cluster_, load, cfg.seed ^ 0xfeed, 1.0, cfg.bursts)
+      gen_(cluster_, load, cfg.seed ^ 0xfeed, 1.0, cfg.bursts),
+      total_intervals_(SimConfig::IntervalsIn(cfg.duration_s))
 {
-    // Intervals completed within the configured duration; trailing
-    // ticks shorter than a full interval produce no record (exactly
-    // the intervals a single RunFor(duration_s) would report).
-    const int64_t total_ticks = static_cast<int64_t>(
-        std::llround(cfg.duration_s / cfg.sim.tick_s));
-    const int64_t ticks_per_interval = static_cast<int64_t>(
-        std::llround(cfg.sim.interval_s / cfg.sim.tick_s));
-    total_intervals_ = total_ticks / std::max<int64_t>(
-        ticks_per_interval, 1);
-
     manager_.Reset();
     manager_.AttachTelemetry(&result_.decision_trace,
                              &result_.metrics);
@@ -38,16 +28,11 @@ ManagedRun::ManagedRun(const Application& app, ResourceManager& manager,
         ValidateFaultSchedule(cfg.faults,
                               static_cast<int>(app.tiers.size()));
         injector_ = std::make_unique<FaultInjector>(
-            cfg.faults, cfg.sim.interval_s);
+            cfg.faults, SimConfig::interval_s);
         injector_->AttachMetrics(&result_.metrics);
         injector_->ApplyClusterFaults(0, 0.0, cluster_);
         gen_.SetRateMultiplier(injector_->RateMultiplierAt(0));
     }
-
-    sim_.AddTickable(
-        [this](double now, double dt) { gen_.Tick(now, dt); });
-    sim_.AddTickable(
-        [this](double now, double dt) { cluster_.Tick(now, dt); });
 }
 
 void
@@ -57,13 +42,10 @@ ManagedRun::AdvanceInterval()
                                 "twice without DecideAndApply");
     SINAN_CHECK_MSG(!Done() && !finished_,
                     "ManagedRun: AdvanceInterval on a finished run");
-    sim_.RunFor(cfg_.sim.interval_s);
-    const double now = sim_.Now();
+    const IntervalObservation obs = gen_.RunInterval();
+    const double now = obs.time_s;
     const int64_t interval = intervals_done_;
-
     const std::vector<double> alloc = cluster_.Allocation();
-    const IntervalObservation obs =
-        cluster_.Harvest(now, cfg_.sim.interval_s);
 
     pending_rec_ = IntervalRecord{};
     pending_rec_.time_s = now;

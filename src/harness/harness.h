@@ -19,7 +19,6 @@
 #include "core/manager.h"
 #include "models/hybrid.h"
 #include "sim/fault_injector.h"
-#include "sim/simulator.h"
 #include "workload/workload.h"
 
 namespace sinan {
@@ -29,7 +28,6 @@ struct RunConfig {
     double duration_s = 120.0;
     /** Intervals excluded from the aggregate metrics. */
     double warmup_s = 15.0;
-    SimConfig sim;
     ClusterConfig cluster;
     /** Traffic micro-bursts (enabled: managers must keep headroom). */
     BurstOptions bursts = DefaultBursts();
@@ -97,9 +95,10 @@ RunResult RunManaged(const Application& app, ResourceManager& manager,
  * so a cluster stepped inside a fleet produces byte-identical
  * telemetry to the same configuration run solo.
  *
- * Instances are pinned to their construction address (the simulator's
- * tick callbacks capture member references): neither copyable nor
- * movable. The application, manager, and load must outlive the run.
+ * Instances are pinned to their construction address (the workload
+ * generator holds a reference to the cluster member): neither
+ * copyable nor movable. The application, manager, and load must
+ * outlive the run.
  */
 class ManagedRun {
   public:
@@ -142,7 +141,6 @@ class ManagedRun {
     const Application& app_;
     ResourceManager& manager_;
     RunConfig cfg_;
-    Simulator sim_;
     Cluster cluster_;
     WorkloadGenerator gen_;
     std::unique_ptr<FaultInjector> injector_;

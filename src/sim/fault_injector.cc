@@ -1,6 +1,7 @@
 #include "sim/fault_injector.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +29,8 @@ Bad(const std::string& what, const std::string& text)
                                 text + "'");
 }
 
-/** Full-consumption strtoll; rejects empty cells and trailing junk. */
+/** Full-consumption strtoll; rejects empty cells, trailing junk and
+ *  values outside long long (which strtoll would saturate). */
 int64_t
 ParseInt(const std::string& s, const std::string& ctx)
 {
@@ -36,9 +38,12 @@ ParseInt(const std::string& s, const std::string& ctx)
     if (t.empty())
         Bad("empty number", ctx);
     char* end = nullptr;
+    errno = 0;
     const long long v = std::strtoll(t.c_str(), &end, 10);
     if (end != t.c_str() + t.size())
         Bad("bad integer '" + t + "'", ctx);
+    if (errno == ERANGE)
+        Bad("integer out of range '" + t + "'", ctx);
     return static_cast<int64_t>(v);
 }
 
@@ -169,6 +174,16 @@ ParseEvent(const std::string& text)
     }
     if (ev.jitter != 0 && ev.tier_hi < 0)
         Bad("jitter requires a tiers= group", t);
+    // EndInterval() and ActiveAt() compute start + GroupSpan() +
+    // duration unchecked, so that sum must fit in int64_t. A nonzero
+    // jitter implies a tiers= group, so the span is jitter * (hi - lo).
+    int64_t last = 0;
+    if (__builtin_mul_overflow(ev.jitter,
+                               ev.jitter != 0 ? ev.tier_hi - ev.tier : 0,
+                               &last) ||
+        __builtin_add_overflow(last, ev.start, &last) ||
+        __builtin_add_overflow(last, ev.duration, &last))
+        Bad("event end interval out of range", t);
 
     switch (ev.kind) {
     case FaultKind::kCapacityLoss:

@@ -149,7 +149,9 @@ struct FaultSchedule {
  * `jitter=N` staggers the members' activation by N intervals each
  * (jitter requires a tiers= group). `chaos:<name>` expands to the
  * named scenario from ChaosScenarios(). Throws std::invalid_argument
- * with the offending event text on any malformed input.
+ * with the offending event text on any malformed input, including an
+ * integer outside int64_t and an event whose end interval
+ * (start + GroupSpan() + duration) does not fit in int64_t.
  */
 FaultSchedule ParseFaultSpec(const std::string& spec);
 

@@ -5,6 +5,13 @@
 
 namespace sinan {
 
+int64_t
+SimConfig::IntervalsIn(double seconds)
+{
+    return static_cast<int64_t>(std::llround(seconds / tick_s)) /
+           ticks_per_interval;
+}
+
 DiurnalLoad::DiurnalLoad(double low, double high, double period_s)
     : low_(low), high_(high), period_s_(period_s)
 {
@@ -158,6 +165,18 @@ WorkloadGenerator::Tick(double now, double dt)
         cluster_.Inject(type, now);
         ++injected_;
     }
+}
+
+IntervalObservation
+WorkloadGenerator::RunInterval()
+{
+    for (int64_t i = 0; i < SimConfig::ticks_per_interval; ++i, ++tick_) {
+        const double now = static_cast<double>(tick_) * SimConfig::tick_s;
+        Tick(now, SimConfig::tick_s);
+        cluster_.Tick(now, SimConfig::tick_s);
+    }
+    return cluster_.Harvest(static_cast<double>(tick_) * SimConfig::tick_s,
+                            SimConfig::interval_s);
 }
 
 } // namespace sinan

@@ -9,6 +9,7 @@
 #ifndef SINAN_WORKLOAD_WORKLOAD_H
 #define SINAN_WORKLOAD_WORKLOAD_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -119,11 +120,30 @@ DefaultBursts()
 }
 
 /**
- * Poisson open-loop request source bound to a cluster. Register Tick()
- * with the simulator *before* the cluster tick so arrivals of a tick are
- * served within it. Optional micro-bursts multiply the arrival rate for
- * a few seconds at random times — the transient spikes that reactive
- * autoscaling handles poorly (paper Sec. 2.3's delayed queueing).
+ * Timing of every simulation. The cluster advances in fine ticks that
+ * integrate the processor-sharing fluid model; a decision interval
+ * (the paper's 1-s scheduler cadence and QoS granularity) groups them
+ * for metric roll-up and resource-management decisions.
+ */
+struct SimConfig {
+    static constexpr double tick_s = 0.01;
+    static constexpr double interval_s = 1.0;
+    static constexpr int64_t ticks_per_interval = 100;
+    static_assert(static_cast<double>(ticks_per_interval) * tick_s ==
+                  interval_s);
+
+    /** Whole decision intervals in @p seconds of simulated time: the
+     *  ticks it spans, rounded, divided by ticks_per_interval (a
+     *  trailing partial interval is not counted). */
+    static int64_t IntervalsIn(double seconds);
+};
+
+/**
+ * Poisson open-loop request source bound to a cluster, and the
+ * simulation's interval step (RunInterval). Optional micro-bursts
+ * multiply the arrival rate for a few seconds at random times — the
+ * transient spikes that reactive autoscaling handles poorly (paper
+ * Sec. 2.3's delayed queueing).
  */
 class WorkloadGenerator {
   public:
@@ -140,6 +160,14 @@ class WorkloadGenerator {
 
     /** Injects this tick's Poisson arrivals. */
     void Tick(double now, double dt);
+
+    /**
+     * Advances one decision interval: SimConfig::ticks_per_interval
+     * ticks, each injecting its arrivals before the cluster serves
+     * them, then harvests the interval's observation stamped with the
+     * end-of-interval time. Tick k of the run starts at k * tick_s.
+     */
+    IntervalObservation RunInterval();
 
     /**
      * External arrival-rate multiplier, composed with the load shape
@@ -164,6 +192,8 @@ class WorkloadGenerator {
     BurstOptions bursts_;
     std::vector<double> mix_cdf_;
     int64_t injected_ = 0;
+    /** Ticks run by RunInterval so far (the simulation clock). */
+    int64_t tick_ = 0;
 
     // Burst process state.
     bool in_burst_ = false;

@@ -10,7 +10,6 @@
 
 #include "app/apps.h"
 #include "cluster/cluster.h"
-#include "sim/simulator.h"
 #include "workload/workload.h"
 
 namespace sinan {
@@ -142,19 +141,16 @@ SteadyP99(const Application& app, double users, double alloc_mult,
     cluster.SetAllocation(alloc);
     ConstantLoad load(users);
     WorkloadGenerator gen(cluster, load, 17);
-    Simulator sim;
     double p99_acc = 0.0;
     int cnt = 0;
-    sim.AddTickable([&](double now, double dt) { gen.Tick(now, dt); });
-    sim.AddTickable([&](double now, double dt) { cluster.Tick(now, dt); });
-    sim.AddIntervalListener([&](int64_t, double now) {
-        const IntervalObservation obs = cluster.Harvest(now, 1.0);
-        if (now > duration / 3.0) {
+    const int64_t intervals = SimConfig::IntervalsIn(duration);
+    for (int64_t k = 0; k < intervals; ++k) {
+        const IntervalObservation obs = gen.RunInterval();
+        if (obs.time_s > duration / 3.0) {
             p99_acc += obs.P99();
             ++cnt;
         }
-    });
-    sim.RunFor(duration);
+    }
     return p99_acc / cnt;
 }
 
@@ -197,22 +193,16 @@ TEST(Calibration, ComposeHeavyMixNeedsMoreCpu)
         cluster.SetAllocation(alloc);
         ConstantLoad load(300.0);
         WorkloadGenerator gen(cluster, load, 29);
-        Simulator sim;
         double used = 0.0;
         int cnt = 0;
-        sim.AddTickable(
-            [&](double now, double dt) { gen.Tick(now, dt); });
-        sim.AddTickable(
-            [&](double now, double dt) { cluster.Tick(now, dt); });
-        sim.AddIntervalListener([&](int64_t, double now) {
-            const IntervalObservation obs = cluster.Harvest(now, 1.0);
-            if (now > 10.0) {
+        for (int k = 0; k < 30; ++k) {
+            const IntervalObservation obs = gen.RunInterval();
+            if (obs.time_s > 10.0) {
                 for (const TierMetrics& m : obs.tiers)
                     used += m.cpu_used;
                 ++cnt;
             }
-        });
-        sim.RunFor(30.0);
+        }
         return used / cnt;
     };
     const auto mixes = SocialNetworkMixes();

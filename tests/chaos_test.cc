@@ -275,6 +275,15 @@ TEST(FaultSpecTest, MalformedSpecsNameTheOffendingText)
     ExpectSpecError("caploss@3:mag=1.5", "mag must be in (0, 1]");
     ExpectSpecError("spike@3:mag=-2", "mag must be > 0");
     ExpectSpecError("stall@2:tier=9999999999999", "tier out of range");
+    // Integers past int64_t, and events whose end interval
+    // (start + group span + duration) would overflow it.
+    ExpectSpecError("stall@99999999999999999999+1",
+                    "integer out of range '99999999999999999999'");
+    ExpectSpecError("stall@9223372036854775807+2",
+                    "event end interval out of range");
+    ExpectSpecError(
+        "caploss@0+1:tiers=0-3,jitter=4611686018427387904,mag=0.5",
+        "event end interval out of range");
     ExpectSpecError("chaos:no-such-scenario", "unknown chaos scenario");
     ExpectSpecError("drop@3;;drop@4", "empty event");
     ExpectSpecError("", "empty spec");

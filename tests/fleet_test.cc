@@ -230,7 +230,6 @@ RunSolo(const ShardSpec& spec, const FleetConfig& cfg,
     RunConfig rc;
     rc.duration_s = cfg.duration_s;
     rc.warmup_s = cfg.warmup_s;
-    rc.sim = cfg.sim;
     rc.cluster = cfg.cluster;
     rc.bursts = cfg.bursts;
     if (!spec.faults.empty())
@@ -354,6 +353,11 @@ TEST(FleetOverride, RejectsMalformedOverrides)
     ExpectOverrideError("3:users=12x", "bad number");
     ExpectOverrideError("3:seed=0", "seed must be > 0");
     ExpectOverrideError("3:users=5,", "trailing ','");
+    // Neither the index nor the seed may wrap or saturate.
+    ExpectOverrideError("4294967296:users=100",
+                        "shard index out of range");
+    ExpectOverrideError("3:seed=99999999999999999999999",
+                        "seed out of range");
 }
 
 TEST(FleetResolve, ValidatesFleetShape)

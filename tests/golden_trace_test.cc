@@ -450,18 +450,16 @@ AppendTraces(std::string& out, const std::vector<Trace>& traces)
 using SecondHook = void (*)(Cluster&, int second, double now);
 
 /**
- * Runs @p app under a constant @p users load for @p seconds of 10-ms
- * ticks, every tier held at @p alloc_frac of its max_cpu, harvesting
- * each second, and returns the digest input: every observation and,
- * when tracing is on, every completed trace.
+ * Runs @p app under a constant @p users load for @p seconds of
+ * WorkloadGenerator::RunInterval steps, every tier held at
+ * @p alloc_frac of its max_cpu, and returns the digest input: every
+ * observation and, when tracing is on, every completed trace.
  */
 std::string
 SimulatorRun(const Application& app, const ClusterConfig& cc,
              double alloc_frac, double users, int seconds, bool bursts,
              SecondHook hook = nullptr)
 {
-    constexpr double kDt = 0.01;
-    constexpr int kTicksPerSecond = 100;
     Cluster cluster(app, cc, 41);
     std::vector<double> alloc;
     for (const TierSpec& t : app.tiers)
@@ -471,17 +469,13 @@ SimulatorRun(const Application& app, const ClusterConfig& cc,
     WorkloadGenerator gen(cluster, load, 43, 1.0,
                           bursts ? DefaultBursts() : BurstOptions());
     std::string out;
-    int64_t tick = 0;
+    double now = 0.0;
     for (int sec = 0; sec < seconds; ++sec) {
         if (hook != nullptr)
-            hook(cluster, sec, static_cast<double>(tick) * kDt);
-        for (int i = 0; i < kTicksPerSecond; ++i, ++tick) {
-            const double now = static_cast<double>(tick) * kDt;
-            gen.Tick(now, kDt);
-            cluster.Tick(now, kDt);
-        }
-        AppendObservation(
-            out, cluster.Harvest(static_cast<double>(tick) * kDt, 1.0));
+            hook(cluster, sec, now);
+        const IntervalObservation obs = gen.RunInterval();
+        now = obs.time_s;
+        AppendObservation(out, obs);
         AppendTraces(out, cluster.TakeTraces());
     }
     return out;

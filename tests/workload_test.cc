@@ -1,9 +1,12 @@
 /**
  * @file
- * Tests for load shapes and the Poisson open-loop workload generator.
+ * Tests for load shapes, the Poisson open-loop workload generator and
+ * its interval step.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "app/apps.h"
@@ -287,6 +290,70 @@ TEST(WorkloadBursts, ComposeBiasSkewsMixDuringBursts)
         obs.tiers[app.TierIndex("composePost")].rx_pps;
     EXPECT_GT(compose, 0.0);
     EXPECT_LT(home, 0.05 * compose);
+}
+
+uint64_t
+Bits(double v)
+{
+    return std::bit_cast<uint64_t>(v);
+}
+
+void
+ExpectSameBits(const IntervalObservation& a, const IntervalObservation& b)
+{
+    EXPECT_EQ(Bits(a.time_s), Bits(b.time_s));
+    EXPECT_EQ(Bits(a.rps), Bits(b.rps));
+    EXPECT_EQ(Bits(a.completed_rps), Bits(b.completed_rps));
+    ASSERT_EQ(a.tiers.size(), b.tiers.size());
+    for (size_t i = 0; i < a.tiers.size(); ++i) {
+        const TierMetrics& x = a.tiers[i];
+        const TierMetrics& y = b.tiers[i];
+        EXPECT_EQ(Bits(x.cpu_limit), Bits(y.cpu_limit)) << i;
+        EXPECT_EQ(Bits(x.cpu_used), Bits(y.cpu_used)) << i;
+        EXPECT_EQ(Bits(x.rss_mb), Bits(y.rss_mb)) << i;
+        EXPECT_EQ(Bits(x.cache_mb), Bits(y.cache_mb)) << i;
+        EXPECT_EQ(Bits(x.rx_pps), Bits(y.rx_pps)) << i;
+        EXPECT_EQ(Bits(x.tx_pps), Bits(y.tx_pps)) << i;
+        EXPECT_EQ(Bits(x.queue_len), Bits(y.queue_len)) << i;
+        EXPECT_EQ(Bits(x.active), Bits(y.active)) << i;
+        EXPECT_EQ(Bits(x.queue_wait_s), Bits(y.queue_wait_s)) << i;
+    }
+    ASSERT_EQ(a.latency_ms.size(), b.latency_ms.size());
+    for (size_t p = 0; p < a.latency_ms.size(); ++p)
+        EXPECT_EQ(Bits(a.latency_ms[p]), Bits(b.latency_ms[p])) << p;
+}
+
+TEST(WorkloadGenerator, RunIntervalMatchesHandLoop)
+{
+    // The interval step is, per 10-ms tick t: arrivals, then service,
+    // both at t * 0.01 s; then one 1-s harvest at the interval's end.
+    const Application app = BuildHotelReservation();
+    const ConstantLoad load(2000.0);
+    Cluster stepped(app, ClusterConfig{}, 9);
+    Cluster manual(app, ClusterConfig{}, 9);
+    WorkloadGenerator step_gen(stepped, load, 11, 1.0, DefaultBursts());
+    WorkloadGenerator hand_gen(manual, load, 11, 1.0, DefaultBursts());
+    int64_t t = 0;
+    for (int64_t k = 1; k <= 3; ++k) {
+        const IntervalObservation a = step_gen.RunInterval();
+        for (int i = 0; i < 100; ++i, ++t) {
+            hand_gen.Tick(static_cast<double>(t) * 0.01, 0.01);
+            manual.Tick(static_cast<double>(t) * 0.01, 0.01);
+        }
+        const IntervalObservation b =
+            manual.Harvest(static_cast<double>(t) * 0.01, 1.0);
+        EXPECT_EQ(Bits(a.time_s), Bits(static_cast<double>(100 * k) * 0.01));
+        EXPECT_GT(a.rps, 0.0);
+        ExpectSameBits(a, b);
+    }
+    EXPECT_EQ(step_gen.Injected(), hand_gen.Injected());
+}
+
+TEST(SimConfig, IntervalsInCountsWholeIntervals)
+{
+    EXPECT_EQ(SimConfig::IntervalsIn(0.004), 0);
+    EXPECT_EQ(SimConfig::IntervalsIn(2.5), 2);
+    EXPECT_EQ(SimConfig::IntervalsIn(600.0), 600);
 }
 
 } // namespace

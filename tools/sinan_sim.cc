@@ -153,7 +153,7 @@ main(int argc, char** argv)
         }
         const double fault_end_s =
             static_cast<double>(opt.faults.EndInterval()) *
-            cfg.sim.interval_s;
+            SimConfig::interval_s;
         const int rec = RecoveryIntervals(r, fault_end_s, app.qos_ms);
         if (rec < 0)
             std::printf("  recovery          : not within the run\n");
