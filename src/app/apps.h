@@ -43,7 +43,8 @@ Application BuildSocialNetwork(const SocialOptions& opts = {});
 /**
  * Overrides the request-type mix weights. @p weights must have one entry
  * per request type, in Application::request_types order. Used for the
- * W0..W3 mixes of Sec. 5.5.
+ * W0..W3 mixes of Sec. 5.5. Throws std::invalid_argument (leaving @p app
+ * unchanged) on a count mismatch, a negative weight or an all-zero mix.
  */
 void SetRequestMix(Application& app, const std::vector<double>& weights);
 

@@ -1,14 +1,12 @@
 #include "cli/sim_cli.h"
 
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
 
 #include "app/apps.h"
+#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "fleet/fleet_log.h"
 #include "harness/harness.h"
@@ -17,65 +15,33 @@ namespace sinan {
 
 namespace {
 
-/** Strict numeric parsers: the whole argument must be consumed, the
- *  digits must start immediately (strto* skip leading whitespace and
- *  accept a '+' sign, which the strict convention rejects — a quoted
- *  " 5" or a stray '+' is a scripting bug, not a number), and
- *  out-of-range values must not saturate silently. (std::atof-style
- *  parsing turned typos like `--users 2oo` into 2 — or 0 — and
- *  silently ran the wrong experiment.) */
-bool
-LaxNumericPrefix(const std::string& v)
+/** Parses a flag value with the number grammar of common/parse.h (the
+ *  whole value must be the number: no whitespace, '+', hex, inf/nan or
+ *  out-of-range value). std::atof-style parsing turned typos like
+ *  `--users 2oo` into 2 and silently ran the wrong experiment. */
+template <typename T>
+T
+ParseArg(const std::string& flag, const std::string& v, const char* what)
 {
-    return !v.empty() &&
-           (std::isspace(static_cast<unsigned char>(v[0])) ||
-            v[0] == '+');
-}
-
-double
-ParseDoubleArg(const char* flag, const std::string& v)
-{
-    char* end = nullptr;
-    errno = 0;
-    const double out = std::strtod(v.c_str(), &end);
-    if (v.empty() || LaxNumericPrefix(v) ||
-        end != v.c_str() + v.size() || errno == ERANGE)
-        SimUsage((std::string(flag) + " expects a number, got '" + v +
-                  "'")
+    T out{};
+    if (ParseNumber(v, out) != std::errc{})
+        SimUsage((flag + " expects " + what + ", got '" + v + "'")
                      .c_str());
     return out;
 }
 
-int
-ParseIntArg(const char* flag, const std::string& v)
+/** Splits @p v on @p sep; an empty @p v yields one empty field. */
+std::vector<std::string>
+Split(const std::string& v, char sep)
 {
-    char* end = nullptr;
-    errno = 0;
-    const long out = std::strtol(v.c_str(), &end, 10);
-    if (v.empty() || LaxNumericPrefix(v) ||
-        end != v.c_str() + v.size() || errno == ERANGE ||
-        out < INT_MIN || out > INT_MAX)
-        SimUsage((std::string(flag) + " expects an integer, got '" + v +
-                  "'")
-                     .c_str());
-    return static_cast<int>(out);
-}
-
-uint64_t
-ParseU64Arg(const char* flag, const std::string& v)
-{
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long out = std::strtoull(v.c_str(), &end, 10);
-    // strtoull silently wraps negatives and clamps overflow to
-    // ULLONG_MAX (with errno == ERANGE); the strict convention rejects
-    // both, along with the leading whitespace/'+' it would tolerate.
-    if (v.empty() || v[0] == '-' || LaxNumericPrefix(v) ||
-        end != v.c_str() + v.size() || errno == ERANGE)
-        SimUsage((std::string(flag) +
-                  " expects an unsigned integer, got '" + v + "'")
-                     .c_str());
-    return out;
+    std::vector<std::string> fields(1);
+    for (const char c : v) {
+        if (c == sep)
+            fields.emplace_back();
+        else
+            fields.back() += c;
+    }
+    return fields;
 }
 
 [[noreturn]] void
@@ -102,12 +68,7 @@ ParseUncertaintyArg(const std::string& v)
         SimUsage("--uncertainty expects 'off' or "
                  "margin=F,floor=F,decay=F");
     cfg.enabled = true;
-    size_t pos = 0;
-    for (;;) {
-        const size_t comma = v.find(',', pos);
-        const std::string item =
-            comma == std::string::npos ? v.substr(pos)
-                                       : v.substr(pos, comma - pos);
+    for (const std::string& item : Split(v, ',')) {
         const size_t eq = item.find('=');
         if (eq == std::string::npos || eq == 0 ||
             eq + 1 >= item.size())
@@ -128,13 +89,11 @@ ParseUncertaintyArg(const std::string& v)
             SimUsage(("--uncertainty: unknown key '" + key +
                       "' (expected margin, floor, or decay)")
                          .c_str());
-        *field = ParseDoubleArg(("--uncertainty " + key).c_str(), val);
+        *field =
+            ParseArg<double>("--uncertainty " + key, val, "a number");
         if (*field < 0.0 || *field > 1.0)
             SimUsage(("--uncertainty " + key + " must be in [0, 1]")
                          .c_str());
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
     }
     return cfg;
 }
@@ -256,44 +215,39 @@ ParseSimArgs(int argc, const char* const* argv)
             opt.manager = need(i++);
             opt.manager_set = true;
         } else if (a == "--users") {
-            opt.users = ParseDoubleArg("--users", need(i++));
+            opt.users =
+                ParseArg<double>("--users", need(i++), "a number");
             opt.users_set = true;
         } else if (a == "--diurnal") {
             opt.diurnal = true;
-            const std::string v = need(i++);
-            char lo[64], hi[64], period[64];
-            if (std::sscanf(v.c_str(), "%63[^:]:%63[^:]:%63s", lo, hi,
-                            period) != 3) {
+            const std::vector<std::string> f = Split(need(i++), ':');
+            if (f.size() != 3)
                 SimUsage("--diurnal expects LO:HI:PERIOD");
-            }
-            opt.diurnal_low = ParseDoubleArg("--diurnal LO", lo);
-            opt.diurnal_high = ParseDoubleArg("--diurnal HI", hi);
+            opt.diurnal_low =
+                ParseArg<double>("--diurnal LO", f[0], "a number");
+            opt.diurnal_high =
+                ParseArg<double>("--diurnal HI", f[1], "a number");
             opt.diurnal_period =
-                ParseDoubleArg("--diurnal PERIOD", period);
+                ParseArg<double>("--diurnal PERIOD", f[2], "a number");
         } else if (a == "--duration") {
-            opt.duration_s = ParseDoubleArg("--duration", need(i++));
+            opt.duration_s =
+                ParseArg<double>("--duration", need(i++), "a number");
         } else if (a == "--warmup") {
-            opt.warmup_s = ParseDoubleArg("--warmup", need(i++));
+            opt.warmup_s =
+                ParseArg<double>("--warmup", need(i++), "a number");
         } else if (a == "--seed") {
-            opt.seed = ParseU64Arg("--seed", need(i++));
+            opt.seed = ParseArg<uint64_t>("--seed", need(i++),
+                                          "an unsigned integer");
         } else if (a == "--collect") {
-            opt.collect_s = ParseDoubleArg("--collect", need(i++));
+            opt.collect_s =
+                ParseArg<double>("--collect", need(i++), "a number");
         } else if (a == "--epochs") {
-            opt.epochs = ParseIntArg("--epochs", need(i++));
+            opt.epochs =
+                ParseArg<int>("--epochs", need(i++), "an integer");
         } else if (a == "--mix") {
-            const std::string v = need(i++);
-            const char* p = v.c_str();
-            char* end = nullptr;
-            while (*p) {
-                const double w = std::strtod(p, &end);
-                if (end == p)
-                    SimUsage(("--mix expects numbers, got '" + v + "'")
-                                 .c_str());
-                opt.mix_weights.push_back(w);
-                p = *end == ',' ? end + 1 : end;
-            }
-            if (opt.mix_weights.empty())
-                SimUsage("--mix expects at least one weight");
+            for (const std::string& w : Split(need(i++), ','))
+                opt.mix_weights.push_back(
+                    ParseArg<double>("--mix", w, "numbers"));
         } else if (a == "--log") {
             opt.log_path = need(i++);
         } else if (a == "--decision-log") {
@@ -301,7 +255,8 @@ ParseSimArgs(int argc, const char* const* argv)
         } else if (a == "--metrics") {
             opt.metrics_path = need(i++);
         } else if (a == "--threads") {
-            opt.threads = ParseIntArg("--threads", need(i++));
+            opt.threads =
+                ParseArg<int>("--threads", need(i++), "an integer");
             if (opt.threads < 0)
                 SimUsage("--threads must be >= 0");
         } else if (a == "--simd") {
@@ -330,7 +285,7 @@ ParseSimArgs(int argc, const char* const* argv)
             opt.uncertainty = ParseUncertaintyArg(need(i++));
             opt.uncertainty_set = true;
         } else if (a == "--fleet") {
-            opt.fleet = ParseIntArg("--fleet", need(i++));
+            opt.fleet = ParseArg<int>("--fleet", need(i++), "an integer");
             if (opt.fleet < 1)
                 SimUsage("--fleet must be >= 1");
         } else if (a == "--fleet-shard") {

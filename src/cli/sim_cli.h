@@ -3,7 +3,9 @@
  * The sinan_sim command-line surface, extracted into a library so the
  * strict flag-validation convention is testable at the argv level:
  * every malformed flag prints the usage text to stderr and exits 2
- * (never a throw, never a silently-misparsed number).
+ * (never a throw, never a silently-misparsed number). What counts as a
+ * number is the one rule of common/parse.h, shared with the fault
+ * grammar, shard overrides and run logs.
  *
  * Two modes share one option struct:
  *  - single-cluster (the original sinan_sim): one app, one manager,

@@ -7,6 +7,8 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/parse.h"
+
 namespace sinan {
 
 namespace {
@@ -19,8 +21,8 @@ int
 DefaultNumThreads()
 {
     if (const char* env = std::getenv("SINAN_THREADS")) {
-        const int n = std::atoi(env);
-        if (n > 0)
+        int n = 0;
+        if (ParseNumber(env, n) == std::errc{} && n > 0)
             return n;
     }
     const unsigned hw = std::thread::hardware_concurrency();

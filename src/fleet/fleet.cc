@@ -1,11 +1,7 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <climits>
-#include <cstdlib>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -13,6 +9,7 @@
 #include "baselines/autoscale.h"
 #include "baselines/powerchief.h"
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 #include "core/scheduler.h"
@@ -72,34 +69,6 @@ BadOverride(const std::string& what, const std::string& text)
                                 text + "'");
 }
 
-/** Full-consumption strtod; rejects trailing garbage. */
-double
-ParseOverrideDouble(const std::string& value, const std::string& text)
-{
-    if (value.empty())
-        BadOverride("empty number", text);
-    char* end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end != value.c_str() + value.size() || !std::isfinite(parsed))
-        BadOverride("bad number '" + value + "'", text);
-    return parsed;
-}
-
-/** Digits only; rejects what strtoull would clamp to ULLONG_MAX. */
-uint64_t
-ParseOverrideU64(const std::string& value, const std::string& text)
-{
-    if (value.empty() ||
-        value.find_first_not_of("0123456789") != std::string::npos)
-        BadOverride("bad seed '" + value + "'", text);
-    errno = 0;
-    const unsigned long long seed =
-        std::strtoull(value.c_str(), nullptr, 10);
-    if (errno == ERANGE)
-        BadOverride("seed out of range '" + value + "'", text);
-    return seed;
-}
-
 /** The injected application for shard-app @p app. Null is a contract
  *  violation: the caller configured a shard it supplied no app for. */
 const Application&
@@ -122,14 +91,11 @@ ParseShardOverride(const std::string& text)
     if (colon == std::string::npos)
         BadOverride("expected 'INDEX:key=val[,...]'", text);
     const std::string idx = text.substr(0, colon);
-    if (idx.empty() ||
-        idx.find_first_not_of("0123456789") != std::string::npos)
-        BadOverride("bad shard index '" + idx + "'", text);
-    errno = 0;
-    const long index = std::strtol(idx.c_str(), nullptr, 10);
-    if (errno == ERANGE || index > INT_MAX)
+    const std::errc idx_ec = ParseNumber(idx, ov.index);
+    if (idx_ec == std::errc::result_out_of_range)
         BadOverride("shard index out of range '" + idx + "'", text);
-    ov.index = static_cast<int>(index);
+    if (idx_ec != std::errc{} || ov.index < 0)
+        BadOverride("bad shard index '" + idx + "'", text);
 
     std::string rest = text.substr(colon + 1);
     if (rest.empty())
@@ -160,11 +126,18 @@ ParseShardOverride(const std::string& text)
                 BadOverride("unknown manager '" + value + "'", text);
             ov.manager = value;
         } else if (key == "users") {
-            ov.users = ParseOverrideDouble(value, text);
+            if (value.empty())
+                BadOverride("empty number", text);
+            if (ParseNumber(value, ov.users) != std::errc{})
+                BadOverride("bad number '" + value + "'", text);
             if (ov.users <= 0.0)
                 BadOverride("users must be > 0", text);
         } else if (key == "seed") {
-            ov.seed = ParseOverrideU64(value, text);
+            const std::errc ec = ParseNumber(value, ov.seed);
+            if (ec == std::errc::result_out_of_range)
+                BadOverride("seed out of range '" + value + "'", text);
+            if (ec != std::errc{})
+                BadOverride("bad seed '" + value + "'", text);
             if (ov.seed == 0)
                 BadOverride("seed must be > 0", text);
         } else {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/table.h"
 
 namespace sinan {
@@ -49,14 +50,8 @@ namespace {
 double
 ParseCell(const std::string& cell, int line_no, size_t col)
 {
-    size_t consumed = 0;
     double v = 0.0;
-    try {
-        v = std::stod(cell, &consumed);
-    } catch (const std::exception&) {
-        consumed = 0;
-    }
-    if (consumed != cell.size() || cell.empty()) {
+    if (ParseNumber(cell, v) != std::errc{}) {
         throw std::invalid_argument(
             "ParseRunLog: line " + std::to_string(line_no) +
             ", column " + std::to_string(col) + ": bad numeric cell '" +

@@ -1,12 +1,12 @@
 #include "sim/fault_injector.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
+
+#include "common/parse.h"
 
 namespace sinan {
 
@@ -29,34 +29,20 @@ Bad(const std::string& what, const std::string& text)
                                 text + "'");
 }
 
-/** Full-consumption strtoll; rejects empty cells, trailing junk and
- *  values outside long long (which strtoll would saturate). */
+/** Reads a trimmed integer; rejects empty cells, trailing junk and
+ *  values outside int64_t. */
 int64_t
 ParseInt(const std::string& s, const std::string& ctx)
 {
     const std::string t = Trim(s);
     if (t.empty())
         Bad("empty number", ctx);
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(t.c_str(), &end, 10);
-    if (end != t.c_str() + t.size())
-        Bad("bad integer '" + t + "'", ctx);
-    if (errno == ERANGE)
+    int64_t v = 0;
+    const std::errc ec = ParseNumber(t, v);
+    if (ec == std::errc::result_out_of_range)
         Bad("integer out of range '" + t + "'", ctx);
-    return static_cast<int64_t>(v);
-}
-
-double
-ParseDouble(const std::string& s, const std::string& ctx)
-{
-    const std::string t = Trim(s);
-    if (t.empty())
-        Bad("empty number", ctx);
-    char* end = nullptr;
-    const double v = std::strtod(t.c_str(), &end);
-    if (end != t.c_str() + t.size())
-        Bad("bad number '" + t + "'", ctx);
+    if (ec != std::errc{})
+        Bad("bad integer '" + t + "'", ctx);
     return v;
 }
 
@@ -167,7 +153,11 @@ ParseEvent(const std::string& text)
                 Bad("jitter must be >= 0", t);
             ev.jitter = jit;
         } else if (key == "mag") {
-            ev.magnitude = ParseDouble(val, t);
+            const std::string m = Trim(val);
+            if (m.empty())
+                Bad("empty number", t);
+            if (ParseNumber(m, ev.magnitude) != std::errc{})
+                Bad("bad number '" + m + "'", t);
         } else {
             Bad("unknown parameter '" + key + "'", t);
         }
@@ -253,7 +243,7 @@ FormatFaultEvent(const FaultEvent& event)
     if (event.magnitude != DefaultMagnitude(event.kind)) {
         if (!params.empty())
             params += ',';
-        // Shortest representation that strtod parses back exactly;
+        // Shortest representation that parses back exactly;
         // integral magnitudes get plain form ("250", not "2.5e+02").
         char buf[40];
         const double mag = event.magnitude;
@@ -262,7 +252,8 @@ FormatFaultEvent(const FaultEvent& event)
         } else {
             for (int prec = 1; prec <= 17; ++prec) {
                 std::snprintf(buf, sizeof(buf), "%.*g", prec, mag);
-                if (std::strtod(buf, nullptr) == mag)
+                double back = 0.0;
+                if (ParseNumber(buf, back) == std::errc{} && back == mag)
                     break;
             }
         }

@@ -145,13 +145,15 @@ struct FaultSchedule {
  *           | "mag=" value
  *
  * `start` and `duration` are decision-interval counts (duration
- * defaults to 1). `tiers=A-B` targets the correlated group [A, B] and
- * `jitter=N` staggers the members' activation by N intervals each
- * (jitter requires a tiers= group). `chaos:<name>` expands to the
- * named scenario from ChaosScenarios(). Throws std::invalid_argument
- * with the offending event text on any malformed input, including an
- * integer outside int64_t and an event whose end interval
- * (start + GroupSpan() + duration) does not fit in int64_t.
+ * defaults to 1). Every number follows common/parse.h after its field
+ * is trimmed of spaces and tabs; `mag` must be finite. `tiers=A-B`
+ * targets the correlated group [A, B] and `jitter=N` staggers the
+ * members' activation by N intervals each (jitter requires a tiers=
+ * group). `chaos:<name>` expands to the named scenario from
+ * ChaosScenarios(). Throws std::invalid_argument with the offending
+ * event text on any malformed input, including an integer outside
+ * int64_t and an event whose end interval (start + GroupSpan() +
+ * duration) does not fit in int64_t.
  */
 FaultSchedule ParseFaultSpec(const std::string& spec);
 

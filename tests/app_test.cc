@@ -119,6 +119,22 @@ TEST(SetRequestMix, ValidatesAndApplies)
                  std::invalid_argument);
 }
 
+TEST(SetRequestMix, RejectsAllZeroMixAndLeavesAppUnchanged)
+{
+    // An all-zero mix must fail here, where the CLI turns it into exit
+    // 2, not later inside WorkloadGenerator.
+    Application app = BuildSocialNetwork();
+    SetRequestMix(app, {10.0, 80.0, 10.0});
+    EXPECT_THROW(SetRequestMix(app, {0.0, 0.0, 0.0}),
+                 std::invalid_argument);
+    EXPECT_THROW(SetRequestMix(app, {5.0, -1.0, 0.0}),
+                 std::invalid_argument);
+    EXPECT_DOUBLE_EQ(app.request_types[0].weight, 10.0);
+    EXPECT_DOUBLE_EQ(app.request_types[1].weight, 80.0);
+    SetRequestMix(app, {0.0, 1.0, 0.0}); // one nonzero weight suffices
+    EXPECT_DOUBLE_EQ(app.request_types[1].weight, 1.0);
+}
+
 TEST(SocialNetworkMixes, MatchesSection55)
 {
     const auto mixes = SocialNetworkMixes();

@@ -287,6 +287,24 @@ TEST(FaultSpecTest, MalformedSpecsNameTheOffendingText)
     ExpectSpecError("chaos:no-such-scenario", "unknown chaos scenario");
     ExpectSpecError("drop@3;;drop@4", "empty event");
     ExpectSpecError("", "empty spec");
+    // Numbers follow common/parse.h: a magnitude must be finite (an
+    // infinite flash multiplier aborts the run), and '+' or hex is no
+    // integer.
+    ExpectSpecError("spike@4:mag=inf", "bad number 'inf'");
+    ExpectSpecError("flash@2:mag=1e999", "bad number '1e999'");
+    ExpectSpecError("spike@4:mag=nan", "bad number 'nan'");
+    ExpectSpecError("spike@4:mag=0x10", "bad number '0x10'");
+    ExpectSpecError("caploss@4:mag=", "empty number");
+    ExpectSpecError("stall@1:tier=+1", "bad integer '+1'");
+    ExpectSpecError("drop@0x3", "bad integer '0x3'");
+}
+
+TEST(FaultSpecTest, TrimsFieldsBeforeReadingNumbers)
+{
+    const FaultSchedule s = ParseFaultSpec(" spike@ 4 :mag= 250 ");
+    ASSERT_EQ(s.events.size(), 1u);
+    EXPECT_EQ(s.events[0].start, 4);
+    EXPECT_DOUBLE_EQ(s.events[0].magnitude, 250.0);
 }
 
 // ---- cluster fault hooks ---------------------------------------------

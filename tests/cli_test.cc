@@ -129,6 +129,41 @@ TEST(CliDeathTest, MalformedFlagsExitTwo)
                     "mutually exclusive");
     ExpectUsageExit({"--duration", "0"},
                     "durations and users must be positive");
+    // nan would pass every bound check (each comparison is false), inf
+    // gives a run of zero intervals, and a 1e999 mix weight runs the
+    // wrong experiment; hex is no number either.
+    ExpectUsageExit({"--users", "nan"}, "--users expects a number");
+    ExpectUsageExit({"--users", "0x10"}, "--users expects a number");
+    ExpectUsageExit({"--duration", "nan"},
+                    "--duration expects a number");
+    ExpectUsageExit({"--duration", "inf"},
+                    "--duration expects a number");
+    ExpectUsageExit({"--warmup", "nan"}, "--warmup expects a number");
+    ExpectUsageExit({"--uncertainty", "margin=nan"},
+                    "--uncertainty margin expects a number");
+    ExpectUsageExit({"--diurnal", "50:nan:60"},
+                    "--diurnal HI expects a number");
+    ExpectUsageExit({"--diurnal", "50:100:6 0"},
+                    "--diurnal PERIOD expects a number");
+    ExpectUsageExit({"--diurnal", "50:100"},
+                    "--diurnal expects LO:HI:PERIOD");
+    ExpectUsageExit({"--mix", "nan,80,15"}, "--mix expects numbers");
+    ExpectUsageExit({"--mix", "1e999,80,15"}, "--mix expects numbers");
+    ExpectUsageExit({"--mix", "5,80,"}, "--mix expects numbers");
+    ExpectUsageExit({"--mix", ""}, "--mix expects numbers");
+}
+
+TEST(CliTest, ParsesDiurnalAndMix)
+{
+    const SimOptions opt =
+        Parse({"--diurnal", "50:350.5:600", "--mix", "5,80,15"});
+    EXPECT_TRUE(opt.diurnal);
+    EXPECT_DOUBLE_EQ(opt.diurnal_low, 50.0);
+    EXPECT_DOUBLE_EQ(opt.diurnal_high, 350.5);
+    EXPECT_DOUBLE_EQ(opt.diurnal_period, 600.0);
+    EXPECT_EQ(opt.mix_weights, (std::vector<double>{5.0, 80.0, 15.0}));
+    // A subnormal load is tiny but a number, as in --fleet-shard.
+    EXPECT_GT(Parse({"--users", "1e-320"}).users, 0.0);
 }
 
 TEST(CliDeathTest, MalformedFaultSpecsExitTwo)
@@ -139,6 +174,8 @@ TEST(CliDeathTest, MalformedFaultSpecsExitTwo)
                     "mag must be in");
     ExpectUsageExit({"--faults", "chaos:nope"},
                     "unknown chaos scenario");
+    // An overflowing magnitude must not reach the run, which aborts.
+    ExpectUsageExit({"--faults", "flash@2:mag=1e999"}, "bad number");
     // Tier validation happens against the selected app's tier count.
     ExpectUsageExit({"--app", "hotel", "--faults", "stall@1:tier=99"},
                     "targets tier 99");

@@ -1,19 +1,24 @@
 /**
  * @file
  * Unit and property tests for the common substrate: RNG distributions,
- * percentile digests, ring windows, and table rendering.
+ * percentile digests, ring windows, table rendering, and the number
+ * grammar for outside text.
  */
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <thread>
+#include <type_traits>
 
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/parse.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -544,6 +549,110 @@ TEST(MetricsRegistry, SerializationIsDeterministic)
     EXPECT_NE(x.ToCsv().find("histogram,hist,le_inf,1"),
               std::string::npos);
     EXPECT_NE(x.ToJson().find("\"counter.b\": 2"), std::string::npos);
+}
+
+// ---- ParseNumber ------------------------------------------------------
+
+template <typename T>
+void
+ExpectParses(const char* s, T want)
+{
+    SCOPED_TRACE(s);
+    T got{};
+    ASSERT_EQ(ParseNumber(s, got), std::errc{});
+    if constexpr (std::is_floating_point_v<T>) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                  std::bit_cast<uint64_t>(want));
+    } else {
+        EXPECT_EQ(got, want);
+    }
+}
+
+template <typename T>
+void
+ExpectRejects(const char* s, std::errc want)
+{
+    SCOPED_TRACE(s);
+    T got = T(7);
+    EXPECT_EQ(ParseNumber(s, got), want);
+    EXPECT_EQ(got, T(7)) << "a rejected token must leave out unchanged";
+}
+
+TEST(ParseNumber, AcceptsWholeTokenNumbers)
+{
+    ExpectParses("0", 0.0);
+    ExpectParses("-0", -0.0);
+    ExpectParses(".5", 0.5);
+    ExpectParses("5.", 5.0);
+    ExpectParses("1e+5", 1e5);
+    ExpectParses("1e-320", 1e-320); // subnormal, but not zero
+    ExpectParses("-2.5", -2.5);
+    ExpectParses("0", 0);
+    ExpectParses("-0", 0);
+    ExpectParses("-2147483648", INT32_MIN);
+    ExpectParses("2147483647", INT32_MAX);
+    ExpectParses("-9223372036854775808", INT64_MIN);
+    ExpectParses("9223372036854775807", INT64_MAX);
+    ExpectParses("0", uint64_t{0});
+    ExpectParses("18446744073709551615", UINT64_MAX);
+}
+
+TEST(ParseNumber, RejectsWhatIsNotWhollyANumber)
+{
+    constexpr std::errc kBad = std::errc::invalid_argument;
+    for (const char* s : {"", " 5", "5 ", "+5", "0x10", "1.5e", "inf",
+                          "-inf", "nan", "-nan", "infinity", "5,",
+                          "1e5x", "1e999x", "\t5"}) {
+        ExpectRejects<double>(s, kBad);
+    }
+    for (const char* s : {"", " 5", "5 ", "+5", "0x10", "1.5", "1e3",
+                          "5x"}) {
+        ExpectRejects<int>(s, kBad);
+        ExpectRejects<int64_t>(s, kBad);
+        ExpectRejects<uint64_t>(s, kBad);
+    }
+    ExpectRejects<uint64_t>("-3", kBad);
+    ExpectRejects<uint64_t>("-0", kBad);
+}
+
+TEST(ParseNumber, ReportsOutOfRange)
+{
+    constexpr std::errc kRange = std::errc::result_out_of_range;
+    ExpectRejects<double>("1e999", kRange);
+    ExpectRejects<double>("-1e999", kRange);
+    ExpectRejects<double>("1e-400", kRange); // underflows to zero
+    ExpectRejects<int>("99999999999999999999", kRange);
+    ExpectRejects<int>("2147483648", kRange);
+    ExpectRejects<int>("-2147483649", kRange);
+    ExpectRejects<int64_t>("99999999999999999999", kRange);
+    ExpectRejects<int64_t>("-9223372036854775809", kRange);
+    ExpectRejects<uint64_t>("99999999999999999999", kRange);
+    ExpectRejects<uint64_t>("18446744073709551616", kRange);
+}
+
+TEST(ParseNumber, RoundsDoublesExactlyAsStrtod)
+{
+    // Seeded bit patterns over the whole finite range (normals and
+    // subnormals), printed at round-trip precision and at 25 digits so
+    // the parser must also round a decimal that lies between doubles.
+    Rng rng(2024);
+    int checked = 0;
+    while (checked < 1000) {
+        const double x = std::bit_cast<double>(rng.NextU64());
+        if (!std::isfinite(x))
+            continue;
+        for (const int prec : {17, 25}) {
+            char buf[64];
+            std::snprintf(buf, sizeof buf, "%.*g", prec, x);
+            SCOPED_TRACE(buf);
+            double got = 0.0;
+            ASSERT_EQ(ParseNumber(buf, got), std::errc{});
+            const double want = std::strtod(buf, nullptr);
+            EXPECT_EQ(std::bit_cast<uint64_t>(got),
+                      std::bit_cast<uint64_t>(want));
+        }
+        ++checked;
+    }
 }
 
 } // namespace

@@ -358,6 +358,15 @@ TEST(FleetOverride, RejectsMalformedOverrides)
                         "shard index out of range");
     ExpectOverrideError("3:seed=99999999999999999999999",
                         "seed out of range");
+    // Numbers follow common/parse.h: no sign on an index or seed, and
+    // users must be finite.
+    ExpectOverrideError("-1:users=100", "bad shard index '-1'");
+    ExpectOverrideError("+1:users=100", "bad shard index '+1'");
+    ExpectOverrideError("3:users=inf", "bad number 'inf'");
+    ExpectOverrideError("3:users=1e999", "bad number '1e999'");
+    ExpectOverrideError("3:users=", "empty number");
+    ExpectOverrideError("3:seed=+7", "bad seed '+7'");
+    ExpectOverrideError("3:seed=-7", "bad seed '-7'");
 }
 
 TEST(FleetResolve, ValidatesFleetShape)

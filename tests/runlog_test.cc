@@ -123,6 +123,28 @@ TEST(RunLog, RejectsEmptyCell)
     EXPECT_THROW(ParseRunLog(csv), std::invalid_argument);
 }
 
+TEST(RunLog, RejectsNonFiniteAndPaddedCells)
+{
+    // A run log holds only the finite, unpadded numbers RunLogToCsv
+    // writes.
+    for (const char* cell : {"inf", "nan", " 1.0", "+1", "1e999"}) {
+        SCOPED_TRACE(cell);
+        const std::string csv =
+            "time_s,rps,p99_ms,predicted_p99_ms,predicted_violation,"
+            "total_cpu,cpu:a\n"
+            "1,100," +
+            std::string(cell) + ",45,0.1,6,2\n";
+        try {
+            ParseRunLog(csv);
+            FAIL() << "expected std::invalid_argument";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find("bad numeric cell"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(RunLog, RejectsAllocColumnCountMismatch)
 {
     // Header declares two tiers; rows with one or three alloc cells

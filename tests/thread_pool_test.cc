@@ -9,8 +9,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -205,6 +208,33 @@ TEST(ThreadPoolTest, SetNumThreadsResizesAndRestoresDefault)
     // <= 0 restores the default (SINAN_THREADS or hardware).
     SetNumThreads(0);
     EXPECT_EQ(NumThreads(), def);
+}
+
+TEST(ThreadPoolTest, MalformedSinanThreadsFallsBackToHardware)
+{
+    // A value that is not wholly a positive int sizes the pool as if
+    // SINAN_THREADS were unset. Every value here stays small or
+    // negative even under a lax parser such as atoi, so a regression can
+    // never ask for thousands of threads.
+    const char* saved = std::getenv("SINAN_THREADS");
+    const std::string saved_val = saved ? saved : "";
+    const unsigned hw_raw = std::thread::hardware_concurrency();
+    const int hw = hw_raw > 0 ? static_cast<int>(hw_raw) : 1;
+    for (const char* v : {"3x", " 3", "+3", "0x3", "3.0", "",
+                          "-99999999999", "0", "-2"}) {
+        SCOPED_TRACE(v);
+        setenv("SINAN_THREADS", v, 1);
+        SetNumThreads(0);
+        EXPECT_EQ(NumThreads(), hw);
+    }
+    setenv("SINAN_THREADS", "3", 1);
+    SetNumThreads(0);
+    EXPECT_EQ(NumThreads(), 3);
+    if (saved)
+        setenv("SINAN_THREADS", saved_val.c_str(), 1);
+    else
+        unsetenv("SINAN_THREADS");
+    SetNumThreads(0);
 }
 
 TEST(ThreadPoolTest, GrainForIsShapeOnlyAndNonIncreasing)
