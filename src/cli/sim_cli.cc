@@ -259,6 +259,10 @@ ParseSimArgs(int argc, const char* const* argv)
                 ParseArg<int>("--threads", need(i++), "an integer");
             if (opt.threads < 0)
                 SimUsage("--threads must be >= 0");
+            if (opt.threads > kMaxThreads)
+                SimUsage(("--threads must be <= " +
+                          std::to_string(kMaxThreads))
+                             .c_str());
         } else if (a == "--simd") {
             const std::string v = need(i++);
             if (!ParseSimdMode(v.c_str(), &opt.simd))

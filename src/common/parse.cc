@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <istream>
 #include <type_traits>
 
 namespace sinan {
@@ -30,5 +31,17 @@ template std::errc ParseNumber<double>(std::string_view, double&);
 template std::errc ParseNumber<int>(std::string_view, int&);
 template std::errc ParseNumber<int64_t>(std::string_view, int64_t&);
 template std::errc ParseNumber<uint64_t>(std::string_view, uint64_t&);
+
+bool
+StreamHolds(std::istream& in, uint64_t bytes)
+{
+    const std::streamoff here = in.tellg();
+    if (here < 0)
+        return true;
+    in.seekg(0, std::ios::end);
+    const std::streamoff left = std::streamoff(in.tellg()) - here;
+    in.seekg(here);
+    return in && left >= 0 && bytes <= static_cast<uint64_t>(left);
+}
 
 } // namespace sinan

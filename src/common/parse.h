@@ -9,10 +9,15 @@
  * whitespace, no '+', no hex and no trailing byte; doubles round
  * exactly as `strtod` does, but `inf` and `nan` are rejected. Callers
  * keep their own splitting, trimming and error wording.
+ *
+ * Also the one size bound for outside binary streams (saved tensors
+ * and tree ensembles): see StreamHolds.
  */
 #ifndef SINAN_COMMON_PARSE_H
 #define SINAN_COMMON_PARSE_H
 
+#include <cstdint>
+#include <iosfwd>
 #include <string_view>
 #include <system_error>
 
@@ -28,6 +33,15 @@ namespace sinan {
  */
 template <typename T>
 std::errc ParseNumber(std::string_view s, T& out);
+
+/**
+ * True when @p in still holds at least @p bytes, or cannot report its
+ * position (the read that follows then catches truncation). Loaders
+ * check every size a stream claims with it before allocating that
+ * size, so a hostile header cannot make them reserve gigabytes just to
+ * report truncation. Leaves the read position where it was.
+ */
+bool StreamHolds(std::istream& in, uint64_t bytes);
 
 } // namespace sinan
 

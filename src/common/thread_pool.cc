@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "common/check.h"
 #include "common/parse.h"
 
 namespace sinan {
@@ -22,11 +23,12 @@ DefaultNumThreads()
 {
     if (const char* env = std::getenv("SINAN_THREADS")) {
         int n = 0;
-        if (ParseNumber(env, n) == std::errc{} && n > 0)
+        if (ParseNumber(env, n) == std::errc{} && n > 0 && n <= kMaxThreads)
             return n;
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    return hw > 0 ? static_cast<int>(std::min<unsigned>(hw, kMaxThreads))
+                  : 1;
 }
 
 std::mutex g_pool_mu;
@@ -44,6 +46,9 @@ constexpr int64_t kMinBlockWork = int64_t{1} << 19;
 
 ThreadPool::ThreadPool(int n_threads) : n_threads_(std::max(1, n_threads))
 {
+    SINAN_CHECK_MSG(n_threads_ <= kMaxThreads,
+                    "ThreadPool: " << n_threads_ << " threads requested, "
+                                   << "at most " << kMaxThreads);
     workers_.reserve(n_threads_ - 1);
     for (int i = 0; i < n_threads_ - 1; ++i)
         workers_.emplace_back([this] { WorkerMain(); });

@@ -33,7 +33,7 @@
  * The global pool size defaults to std::thread::hardware_concurrency(),
  * can be pinned with the SINAN_THREADS environment variable, and can be
  * changed at runtime with SetNumThreads() (e.g. the sinan_sim --threads
- * flag and the thread-sweep benchmarks).
+ * flag and the thread-sweep benchmarks). No pool exceeds kMaxThreads.
  */
 #ifndef SINAN_COMMON_THREAD_POOL_H
 #define SINAN_COMMON_THREAD_POOL_H
@@ -48,11 +48,21 @@
 
 namespace sinan {
 
+/**
+ * Upper bound on any pool's parallelism, far above the core counts this
+ * code runs on; it keeps a typo such as `--threads 100000` from asking
+ * the OS for that many threads. `--threads` above it exits 2, a
+ * SINAN_THREADS above it is ignored like a malformed one, and the
+ * hardware default is clamped to it.
+ */
+constexpr int kMaxThreads = 256;
+
 /** Fixed-size pool; the creating thread counts toward NumThreads(). */
 class ThreadPool {
   public:
     /** @param n_threads total parallelism including the calling thread
-     *  (clamped to >= 1; n_threads - 1 workers are spawned). */
+     *  (clamped to >= 1; n_threads - 1 workers are spawned). Must be
+     *  at most kMaxThreads. */
     explicit ThreadPool(int n_threads);
 
     /** Drains nothing: joins workers after the queue empties. */
@@ -86,7 +96,9 @@ ThreadPool& GlobalPool();
 
 /**
  * Resizes the global pool. @p n <= 0 restores the default
- * (SINAN_THREADS env var if set, else hardware_concurrency).
+ * (SINAN_THREADS env var if set to a value in [1, kMaxThreads], else
+ * hardware_concurrency clamped to kMaxThreads); @p n must be at most
+ * kMaxThreads.
  * Must not be called concurrently with a parallel region.
  */
 void SetNumThreads(int n);

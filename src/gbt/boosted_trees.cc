@@ -9,6 +9,8 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/cpu_features.h"
+#include "common/parse.h"
 #include "common/thread_pool.h"
 
 namespace sinan {
@@ -32,11 +34,42 @@ struct HistCell {
 
 } // namespace
 
+void
+TreeBatchScalar(const TreeTables& t, const float* x, int64_t ld, int64_t c0,
+                int64_t c1, double* margin)
+{
+    for (int64_t c = c0; c < c1; ++c) {
+        const float* xc = x + c;
+        double m = t.base;
+        for (int64_t k = 0; k < t.n_trees; ++k) {
+            const TreeSpan& s = t.trees[k];
+            int64_t loc = 0;
+            for (int l = 0; l < s.depth; ++l) {
+                const int64_t slot = s.node + (int64_t{1} << l) - 1 + loc;
+                const float v = xc[int64_t{t.feature[slot]} * ld];
+                loc = 2 * loc + (v < t.threshold[slot] ? 0 : 1);
+            }
+            m += static_cast<double>(t.leaf[s.leaf + loc]);
+        }
+        margin[c] = m;
+    }
+}
+
+TreeBatchFn
+ActiveTreeBatch()
+{
+#ifdef SINAN_HAVE_AVX2
+    if (SimdActive())
+        return TreeBatchAvx2;
+#endif
+    return TreeBatchScalar;
+}
+
 BoostedTrees::BoostedTrees(const GbtConfig& cfg, Objective obj)
     : cfg_(cfg), obj_(obj)
 {
     SINAN_CHECK_MSG(cfg.n_trees > 0 && cfg.max_depth >= 0 &&
-                        cfg.max_bins >= 2,
+                        cfg.max_depth <= kMaxDepth && cfg.max_bins >= 2,
                     "BoostedTrees: bad config (n_trees "
                         << cfg.n_trees << ", max_depth " << cfg.max_depth
                         << ", max_bins " << cfg.max_bins << ")");
@@ -347,6 +380,7 @@ BoostedTrees::Train(const GbtDataset& train, const GbtDataset* valid)
             }
         }
     }
+    Flatten();
 }
 
 double
@@ -370,10 +404,49 @@ BoostedTrees::PredictMargin(const float* row) const
 }
 
 double
+BoostedTrees::FromMargin(double m) const
+{
+    return obj_ == Objective::kLogistic ? Sigmoid(m) : m;
+}
+
+double
 BoostedTrees::Predict(const float* row) const
 {
-    const double m = PredictMargin(row);
-    return obj_ == Objective::kLogistic ? Sigmoid(m) : m;
+    return FromMargin(PredictMargin(row));
+}
+
+void
+BoostedTrees::PredictBatch(const float* x, int64_t ld, int n,
+                           double* out) const
+{
+    SINAN_CHECK_MSG(n >= 0 && ld >= n,
+                    "PredictBatch: " << n << " candidates in rows of "
+                                     << ld);
+    // The AVX2 kernel gathers x at int32 offsets f * ld + lane.
+    SINAN_CHECK_MSG(int64_t{n_features_} * ld <=
+                        std::numeric_limits<int32_t>::max(),
+                    "PredictBatch: candidate matrix too large ("
+                        << n_features_ << " x " << ld << ")");
+    const TreeTables tables{flat_feature_.data(), flat_threshold_.data(),
+                            flat_leaf_.data(), flat_trees_.data(),
+                            static_cast<int64_t>(flat_trees_.size()),
+                            base_score_};
+    int64_t visits = 0; // node visits per candidate
+    for (const TreeSpan& s : flat_trees_)
+        visits += s.depth + 1;
+    // Blocks of whole 8-candidate groups, so every block but the last
+    // fills the AVX2 lanes; candidates are independent, so the block
+    // structure never changes a byte.
+    constexpr int64_t kGroup = 8;
+    const TreeBatchFn kern = ActiveTreeBatch();
+    ParallelFor(0, (n + kGroup - 1) / kGroup, GrainFor(visits * kGroup),
+                [&](int64_t lo, int64_t hi) {
+        const int64_t c0 = lo * kGroup;
+        const int64_t c1 = std::min<int64_t>(hi * kGroup, n);
+        kern(tables, x, ld, c0, c1, out);
+        for (int64_t c = c0; c < c1; ++c)
+            out[c] = FromMargin(out[c]);
+    });
 }
 
 std::vector<double>
@@ -401,6 +474,83 @@ BoostedTrees::Save(std::ostream& out) const
     }
 }
 
+int
+BoostedTrees::TreeDepth(const Tree& tree, int n_features)
+{
+    // Children must sit past their parent, so one pass in index order
+    // sees every parent before its children and no path can cycle.
+    const int nn = static_cast<int>(tree.nodes.size());
+    if (nn < 1)
+        throw std::runtime_error("BoostedTrees::Load: empty tree");
+    std::vector<int> depth(static_cast<size_t>(nn), -1); // -1: unreached
+    depth[0] = 0;
+    int deepest = 0;
+    for (int i = 0; i < nn; ++i) {
+        const Node& node = tree.nodes[static_cast<size_t>(i)];
+        if (node.feature < -1 || node.feature >= n_features)
+            throw std::runtime_error(
+                "BoostedTrees::Load: node feature out of range");
+        if (node.feature < 0)
+            continue;
+        for (const int child : {node.left, node.right}) {
+            if (child <= i || child >= nn)
+                throw std::runtime_error(
+                    "BoostedTrees::Load: bad child index");
+        }
+        const int d = depth[static_cast<size_t>(i)];
+        if (d < 0)
+            continue;
+        if (d + 1 > kMaxDepth)
+            throw std::runtime_error(
+                "BoostedTrees::Load: tree deeper than kMaxDepth");
+        for (const int child : {node.left, node.right}) {
+            int& cd = depth[static_cast<size_t>(child)];
+            cd = std::max(cd, d + 1);
+        }
+        deepest = std::max(deepest, d + 1);
+    }
+    return deepest;
+}
+
+void
+BoostedTrees::Flatten()
+{
+    flat_trees_.assign(trees_.size(), TreeSpan{});
+    int64_t n_nodes = 0, n_leaves = 0;
+    for (size_t k = 0; k < trees_.size(); ++k) {
+        const int32_t d = TreeDepth(trees_[k], n_features_);
+        flat_trees_[k] = TreeSpan{n_nodes, n_leaves, d};
+        n_nodes += (int64_t{1} << d) - 1;
+        n_leaves += int64_t{1} << d;
+    }
+    flat_feature_.assign(static_cast<size_t>(n_nodes), 0);
+    flat_threshold_.assign(static_cast<size_t>(n_nodes), 0.0f);
+    flat_leaf_.assign(static_cast<size_t>(n_leaves + kLeafTableSlack), 0.0f);
+    // Padded internal slots under an early leaf keep feature 0 and
+    // threshold 0: the leaf's value fills every bottom slot below it,
+    // so whichever way they send a candidate, it lands on that value.
+    for (size_t k = 0; k < trees_.size(); ++k) {
+        const std::vector<Node>& nodes = trees_[k].nodes;
+        const TreeSpan& s = flat_trees_[k];
+        auto place = [&](auto& self, int nd, int level, int64_t loc) -> void {
+            const Node& node = nodes[static_cast<size_t>(nd)];
+            if (node.feature < 0) {
+                const int64_t span = int64_t{1} << (s.depth - level);
+                std::fill_n(flat_leaf_.begin() + s.leaf + loc * span, span,
+                            node.value);
+                return;
+            }
+            const size_t slot =
+                static_cast<size_t>(s.node + (int64_t{1} << level) - 1 + loc);
+            flat_feature_[slot] = node.feature;
+            flat_threshold_[slot] = node.threshold;
+            self(self, node.left, level + 1, 2 * loc);
+            self(self, node.right, level + 1, 2 * loc + 1);
+        };
+        place(place, 0, 0, 0);
+    }
+}
+
 void
 BoostedTrees::Load(std::istream& in)
 {
@@ -410,24 +560,33 @@ BoostedTrees::Load(std::istream& in)
     in.read(reinterpret_cast<char*>(&nf), sizeof(nf));
     in.read(reinterpret_cast<char*>(&base), sizeof(base));
     in.read(reinterpret_cast<char*>(&nt), sizeof(nt));
-    if (!in || nt < 0 || nf < 0)
+    if (!in || (obj != 0 && obj != 1) || nt < 0 || nf < 0)
         throw std::runtime_error("BoostedTrees::Load: corrupt header");
+    // Every tree holds at least its node count and one node.
+    if (!StreamHolds(in, static_cast<uint64_t>(nt) *
+                             (sizeof(int32_t) + sizeof(Node))))
+        throw std::runtime_error("BoostedTrees::Load: truncated");
+    std::vector<Tree> trees(static_cast<size_t>(nt));
+    for (Tree& t : trees) {
+        int32_t nn = 0;
+        in.read(reinterpret_cast<char*>(&nn), sizeof(nn));
+        if (!in || nn < 1)
+            throw std::runtime_error("BoostedTrees::Load: corrupt tree");
+        if (!StreamHolds(in, static_cast<uint64_t>(nn) * sizeof(Node)))
+            throw std::runtime_error("BoostedTrees::Load: truncated");
+        t.nodes.resize(static_cast<size_t>(nn));
+        in.read(reinterpret_cast<char*>(t.nodes.data()),
+                static_cast<std::streamsize>(nn * sizeof(Node)));
+        if (!in)
+            throw std::runtime_error("BoostedTrees::Load: truncated");
+        (void)TreeDepth(t, nf);
+    }
     obj_ = obj == 0 ? Objective::kLogistic : Objective::kSquared;
     n_features_ = nf;
     base_score_ = base;
-    trees_.assign(nt, Tree{});
-    for (Tree& t : trees_) {
-        int32_t nn = 0;
-        in.read(reinterpret_cast<char*>(&nn), sizeof(nn));
-        if (!in || nn < 0)
-            throw std::runtime_error("BoostedTrees::Load: corrupt tree");
-        t.nodes.resize(nn);
-        in.read(reinterpret_cast<char*>(t.nodes.data()),
-                static_cast<std::streamsize>(nn * sizeof(Node)));
-    }
-    feature_gain_.assign(n_features_, 0.0);
-    if (!in)
-        throw std::runtime_error("BoostedTrees::Load: truncated");
+    trees_ = std::move(trees);
+    feature_gain_.assign(static_cast<size_t>(n_features_), 0.0);
+    Flatten();
 }
 
 } // namespace sinan

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "gbt/tree_kernels.h"
 
 namespace sinan {
 
@@ -81,6 +82,14 @@ class BoostedTrees {
     /** Probability (logistic objective) or value (squared objective). */
     double Predict(const float* row) const;
 
+    /**
+     * Predict() for @p n candidates stored feature-major: feature f of
+     * candidate c at x[f * ld + c], with ld >= n. Writes out[0, n),
+     * each bit-identical to Predict() on that candidate's row, through
+     * the dispatched kernel (tree_kernels.h) over the flat tables.
+     */
+    void PredictBatch(const float* x, int64_t ld, int n, double* out) const;
+
     /** Convenience overload; checks the row width against training. */
     double
     Predict(const std::vector<float>& row) const
@@ -97,7 +106,15 @@ class BoostedTrees {
     /** Total split gain attributed to each feature. */
     std::vector<double> FeatureImportance() const;
 
-    /** Binary serialization. */
+    /** Deepest tree Train builds or Load accepts (root = depth 0). A
+     *  tree of depth d takes 2^d leaf slots in the flat tables. */
+    static constexpr int kMaxDepth = 10;
+
+    /** Binary serialization. Load validates every node (feature range,
+     *  child indices past their parent's, depth <= kMaxDepth, sizes
+     *  bounded by the bytes left in the stream) and throws
+     *  std::runtime_error on a corrupt stream, leaving *this as it
+     *  was. */
     void Save(std::ostream& out) const;
     void Load(std::istream& in);
 
@@ -115,12 +132,31 @@ class BoostedTrees {
 
     double TreePredict(const Tree& tree, const float* row) const;
 
+    /** Depth of @p tree after checking every node's feature against
+     *  [-1, n_features) and every child index against (parent, size);
+     *  throws std::runtime_error (naming Load, its one untrusted
+     *  source) on a violation or a depth above kMaxDepth. */
+    static int TreeDepth(const Tree& tree, int n_features);
+
+    /** Rebuilds the flat tables below from trees_. */
+    void Flatten();
+
+    /** Logistic transform for kLogistic, identity for kSquared. */
+    double FromMargin(double m) const;
+
     GbtConfig cfg_;
     Objective obj_;
     double base_score_ = 0.0;
     std::vector<Tree> trees_;
     std::vector<double> feature_gain_;
     int n_features_ = 0;
+
+    // Flat level-order tables of trees_ (see tree_kernels.h); rebuilt
+    // by Train and Load.
+    std::vector<int32_t> flat_feature_;
+    std::vector<float> flat_threshold_;
+    std::vector<float> flat_leaf_;
+    std::vector<TreeSpan> flat_trees_;
 };
 
 } // namespace sinan

@@ -9,7 +9,6 @@
 
 #include "common/check.h"
 #include "common/cpu_features.h"
-#include "common/thread_pool.h"
 
 namespace sinan {
 
@@ -23,28 +22,35 @@ Seconds(Clock::time_point t0, Clock::time_point t1)
     return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/** Writes row @p row's Boosted-Trees feature row into @p out:
- *  [latent L_f | normalized X_RC | total allocation, current p99, mean
- *  utilization, traffic]. The one writer of this layout, shared by
- *  training (TrainBt) and inference (ScoreCandidates), so the two can
- *  never disagree on it. */
+/** Writes row @p row's Boosted-Trees features into @p out, feature j
+ *  at out[j * stride]: [latent L_f | normalized X_RC | total
+ *  allocation, current p99, mean utilization, traffic]. The one writer
+ *  of this layout, shared by training (TrainBt, one row-major row at
+ *  stride 1) and inference (ScoreCandidates, one column of the
+ *  feature-major candidate matrix), so the two can never disagree on
+ *  it. */
 void
-WriteBtRow(const Tensor& latent, const Tensor& xrc, int row, float cur_p99,
-           float util, float traffic, float* out)
+WriteBtFeatures(const Tensor& latent, const Tensor& xrc, int row,
+                float cur_p99, float util, float traffic, float* out,
+                int64_t stride)
 {
     const int latent_dim = latent.Dim(1);
     const int n = xrc.Dim(1);
+    const float* lat = latent.Data() + static_cast<size_t>(row) * latent_dim;
+    const float* rc = xrc.Data() + static_cast<size_t>(row) * n;
     for (int j = 0; j < latent_dim; ++j)
-        out[j] = latent.At(row, j);
+        out[j * stride] = lat[j];
+    float* rc_out = out + latent_dim * stride;
     float total_alloc = 0.0f;
     for (int j = 0; j < n; ++j) {
-        out[latent_dim + j] = xrc.At(row, j);
-        total_alloc += xrc.At(row, j);
+        rc_out[j * stride] = rc[j];
+        total_alloc += rc[j];
     }
-    out[latent_dim + n] = total_alloc;
-    out[latent_dim + n + 1] = cur_p99;
-    out[latent_dim + n + 2] = util;
-    out[latent_dim + n + 3] = traffic;
+    float* agg = rc_out + n * stride;
+    agg[0] = total_alloc;
+    agg[stride] = cur_p99;
+    agg[2 * stride] = util;
+    agg[3 * stride] = traffic;
 }
 
 } // namespace
@@ -84,27 +90,28 @@ HybridModel::ScoreCandidates(const Tensor& latent, const Tensor& xrc,
     const int n_cands = pred.Dim(0);
     const int m = pred.Dim(1);
     const int nf = latent.Dim(1) + xrc.Dim(1) + 4;
-    bt_rows_.EnsureShape({n_cands, nf});
-    out.resize(static_cast<size_t>(n_cands));
+    // Feature-major: the batch tree kernel reads one feature of eight
+    // neighbouring candidates per step.
+    bt_cols_.EnsureShape({nf, n_cands});
+    bt_prob_.resize(static_cast<size_t>(n_cands));
+    for (int i = 0; i < n_cands; ++i) {
+        WriteBtFeatures(latent, xrc, i, cur_p99, util, traffic,
+                        bt_cols_.Data() + i, n_cands);
+    }
+    bt_.PredictBatch(bt_cols_.Data(), n_cands, n_cands, bt_prob_.data());
 
-    // Per-candidate BT scoring is the scheduler's per-interval hot
-    // loop (one Predict per Table-1 action); candidates are
-    // independent, so score them in parallel.
-    const int64_t visits = int64_t{bt_.NumTrees()} * cfg_.bt.max_depth;
-    ParallelFor(0, n_cands, GrainFor(visits), [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-            const int row = static_cast<int>(i);
-            Prediction& p = out[static_cast<size_t>(i)];
-            p.latency_ms.resize(static_cast<size_t>(m));
-            for (int j = 0; j < m; ++j) {
-                p.latency_ms[static_cast<size_t>(j)] =
-                    static_cast<double>(pred.At(row, j)) * fcfg_.qos_ms;
-            }
-            float* fr = bt_rows_.Data() + static_cast<size_t>(i) * nf;
-            WriteBtRow(latent, xrc, row, cur_p99, util, traffic, fr);
-            p.p_violation = bt_.Predict(fr);
+    out.resize(static_cast<size_t>(n_cands));
+    const float* pr = pred.Data();
+    for (int i = 0; i < n_cands; ++i) {
+        Prediction& p = out[static_cast<size_t>(i)];
+        p.latency_ms.resize(static_cast<size_t>(m));
+        for (int j = 0; j < m; ++j) {
+            p.latency_ms[static_cast<size_t>(j)] =
+                static_cast<double>(pr[static_cast<size_t>(i) * m + j]) *
+                fcfg_.qos_ms;
         }
-    });
+        p.p_violation = bt_prob_[static_cast<size_t>(i)];
+    }
 }
 
 void
@@ -129,8 +136,8 @@ HybridModel::TrainBt(const Dataset& train, const Dataset& valid,
                 float cur_p99 = 0.0f, util = 0.0f, traffic = 0.0f;
                 SharedAggregates(batch.xrh, batch.xlh, r, &cur_p99, &util,
                                  &traffic);
-                WriteBtRow(latent, batch.xrc, r, cur_p99, util, traffic,
-                           row.data());
+                WriteBtFeatures(latent, batch.xrc, r, cur_p99, util,
+                                traffic, row.data(), 1);
                 out.AddRow(row, data.samples[order[i]].violation);
             }
         }

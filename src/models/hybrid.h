@@ -188,8 +188,9 @@ class HybridModel {
                           float* traffic) const;
 
     /** Scores candidates from per-row latent/xrc tensors into @p out,
-     *  writing BT feature rows into the workspace (shared by both
-     *  evaluation paths). A BT feature row is the latent L_f, the
+     *  writing the feature-major BT candidate matrix into the workspace
+     *  and scoring it with one BoostedTrees::PredictBatch (shared by
+     *  both evaluation paths). A BT feature row is the latent L_f, the
      *  normalized X_RC, and digested aggregates (total allocation,
      *  current p99, mean utilization, traffic level) that let the trees
      *  anchor the load-vs-allocation boundary without relying on
@@ -212,7 +213,8 @@ class HybridModel {
 
     /** Reusable buffers of the fast path (cloned with the model). */
     CnnEvalWorkspace ws_;
-    Tensor bt_rows_; // [B, latent + n_tiers + 4]
+    Tensor bt_cols_;              // [latent + n_tiers + 4, B]
+    std::vector<double> bt_prob_; // [B] p_violation
 };
 
 } // namespace sinan

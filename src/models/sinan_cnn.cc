@@ -125,28 +125,6 @@ SinanCnn::ForwardTrunk(CnnEvalWorkspace& ws) const
 }
 
 void
-SinanCnn::BroadcastConcat(CnnEvalWorkspace& ws) const
-{
-    // Broadcast-concat: every candidate row is [ha | hb | hc_i] with
-    // the shared trunk embeddings ha/hb — exactly the rows the
-    // full-batch ConcatCols would build from B identical trunk inputs.
-    const int batch = ws.xrc.Dim(0);
-    const int na = rh_out_, nb = lh_out_, nc = rc_out_;
-    const int width = na + nb + nc;
-    ws.concat.EnsureShape({batch, width});
-    const float* ha = ws.rh_embed.Data();
-    const float* hb = ws.lh_embed.Data();
-    for (int i = 0; i < batch; ++i) {
-        float* row = ws.concat.Data() + static_cast<size_t>(i) * width;
-        std::copy(ha, ha + na, row);
-        std::copy(hb, hb + nb, row + na);
-        const float* hc =
-            ws.rc_embed.Data() + static_cast<size_t>(i) * nc;
-        std::copy(hc, hc + nc, row + na + nb);
-    }
-}
-
-void
 SinanCnn::AddPersistence(CnnEvalWorkspace& ws) const
 {
     // Persistence residual, broadcast from the shared window row: the
@@ -172,8 +150,12 @@ SinanCnn::ForwardHead(CnnEvalWorkspace& ws) const
                     "ForwardTrunk first");
     rc_fc_.ForwardInto(ws.xrc, ws.rc_embed);
     ReluInPlace(ws.rc_embed);
-    BroadcastConcat(ws);
-    fc_latent_.ForwardInto(ws.concat, ws.latent);
+    // Every candidate's fc_latent input is [rh | lh | rc_i], exactly the
+    // rows the full-batch ConcatCols builds from B identical trunk
+    // inputs; only the rc columns differ between candidates.
+    fc_latent_.ForwardSharedPrefixInto({&ws.rh_embed, &ws.lh_embed},
+                                       ws.rc_embed, ws.latent_prefix,
+                                       ws.latent);
     ReluInPlace(ws.latent);
     fc_out_.ForwardInto(ws.latent, ws.pred);
     AddPersistence(ws);
@@ -259,7 +241,10 @@ SinanCnn::ObserveCalibration(const CnnEvalWorkspace& ws,
     cal.conv2_out = std::max(cal.conv2_out, MaxAbs(ws.conv2_out));
     cal.xlh = std::max(cal.xlh, MaxAbs(ws.xlh));
     cal.xrc = std::max(cal.xrc, MaxAbs(ws.xrc));
-    cal.concat = std::max(cal.concat, MaxAbs(ws.concat));
+    // fc_latent's input rows are [rh | lh | rc_i]: their max-|x| is the
+    // max over the three embeddings.
+    cal.concat = std::max({cal.concat, MaxAbs(ws.rh_embed),
+                           MaxAbs(ws.lh_embed), MaxAbs(ws.rc_embed)});
     cal.latent = std::max(cal.latent, MaxAbs(ws.latent));
 }
 

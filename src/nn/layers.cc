@@ -64,6 +64,45 @@ Dense::ForwardInto(const Tensor& x, Tensor& y) const
     });
 }
 
+void
+Dense::ForwardSharedPrefixInto(std::initializer_list<const Tensor*> shared,
+                               const Tensor& x, Tensor& prefix,
+                               Tensor& y) const
+{
+    SINAN_CHECK_EQ(x.Rank(), 2);
+    const int out = w_.value.Dim(1);
+    const float* w = w_.value.Data();
+    const GemmRowsFn kern = ActiveGemmRows();
+    prefix.EnsureShape({1, out});
+    prefix.Fill(0.0f);
+    int64_t k0 = 0; // weight rows consumed so far
+    for (const Tensor* s : shared) {
+        SINAN_CHECK_EQ(s->Rank(), 2);
+        SINAN_CHECK_EQ(s->Dim(0), 1);
+        const int ks = s->Dim(1);
+        SINAN_CHECK_LE(k0 + ks, int64_t{w_.value.Dim(0)});
+        kern(s->Data(), ks, w + k0 * out, out, prefix.Data(), out, 0, 1,
+             ks, out);
+        k0 += ks;
+    }
+    const int kx = x.Dim(1);
+    SINAN_CHECK_EQ(k0 + kx, int64_t{w_.value.Dim(0)});
+    y.EnsureShape({x.Dim(0), out});
+    const float* pre = prefix.Data();
+    ParallelFor(0, x.Dim(0), GrainFor(int64_t{kx} * out),
+                [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+            std::copy(pre, pre + out, y.Data() + i * out);
+        kern(x.Data(), kx, w + k0 * out, out, y.Data(), out, lo, hi, kx,
+             out);
+        for (int64_t i = lo; i < hi; ++i) {
+            float* row = y.Data() + i * out;
+            for (int j = 0; j < out; ++j)
+                row[j] += b_.value[j];
+        }
+    });
+}
+
 Tensor
 Dense::Backward(const Tensor& dy)
 {

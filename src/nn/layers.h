@@ -6,6 +6,8 @@
 #ifndef SINAN_NN_LAYERS_H
 #define SINAN_NN_LAYERS_H
 
+#include <initializer_list>
+
 #include "nn/layer.h"
 
 namespace sinan {
@@ -30,6 +32,20 @@ class Dense : public Layer {
      * touch the backward cache; bit-identical to Forward.
      */
     void ForwardInto(const Tensor& x, Tensor& y) const;
+
+    /**
+     * ForwardInto on rows [shared | x_i] whose leading input columns
+     * are the same in every row: they are the [1, k] rows of @p shared,
+     * in order, and x [B, rest] supplies the remaining columns. The
+     * shared part of the product is accumulated once into @p prefix
+     * ([1, out]) and copied into every output row, where the row's own
+     * columns continue the accumulation and the bias is added last.
+     * That is the ascending-k mul-then-add sequence ForwardInto runs
+     * on the concatenated rows, so y is bit-identical to it.
+     */
+    void ForwardSharedPrefixInto(std::initializer_list<const Tensor*> shared,
+                                 const Tensor& x, Tensor& prefix,
+                                 Tensor& y) const;
 
     /** Read-only weight/bias views (int8 post-training quantization
      *  reads them; never used to mutate). */

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "common/thread_pool.h"
 #include "tensor/gemm_kernels.h"
 
@@ -225,17 +226,9 @@ Tensor::Load(std::istream& in)
     }
     // Bound the claimed payload by what the stream still holds before
     // allocating it, so a hostile header cannot make Load zero-fill
-    // gigabytes just to report truncation. (Streams that cannot report
-    // a position skip the bound and fail on the read below.)
-    const uint64_t bytes = rank == 0 ? 0 : count * sizeof(float);
-    const std::streamoff here = in.tellg();
-    if (here >= 0) {
-        in.seekg(0, std::ios::end);
-        const std::streamoff left = std::streamoff(in.tellg()) - here;
-        in.seekg(here);
-        if (!in || left < 0 || bytes > static_cast<uint64_t>(left))
-            throw std::runtime_error("Tensor::Load: truncated data");
-    }
+    // gigabytes just to report truncation.
+    if (!StreamHolds(in, rank == 0 ? 0 : count * sizeof(float)))
+        throw std::runtime_error("Tensor::Load: truncated data");
     Tensor t(shape);
     in.read(reinterpret_cast<char*>(t.Data()),
             static_cast<std::streamsize>(t.Size() * sizeof(float)));

@@ -123,6 +123,8 @@ TEST(CliDeathTest, MalformedFlagsExitTwo)
     ExpectUsageExit({"--epochs", "99999999999"}, "expects an integer");
     ExpectUsageExit({"--seed", "-3"}, "expects");
     ExpectUsageExit({"--threads", "-1"}, "--threads must be >= 0");
+    // Parsing only: the exit comes before any pool is resized.
+    ExpectUsageExit({"--threads", "100000"}, "--threads must be <= 256");
     ExpectUsageExit({"--app", "bank"}, "--app must be hotel or social");
     ExpectUsageExit({"--manager", "llm"}, "unknown --manager llm");
     ExpectUsageExit({"--users", "100", "--diurnal", "50:200:600"},

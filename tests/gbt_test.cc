@@ -1,17 +1,66 @@
 /**
  * @file
  * Tests for the boosted-trees substrate: learning power on synthetic
- * tasks, early stopping, serialization, importance attribution, and
- * probability calibration basics.
+ * tasks, early stopping, serialization and its validation against
+ * corrupt streams, importance attribution, probability calibration
+ * basics, and bit parity of the batch tree kernels with per-row
+ * Predict.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cfloat>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <new>
 #include <sstream>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "gbt/boosted_trees.h"
+
+// Largest single operator-new request while g_track_allocs is set: the
+// Load hardening tests use it to show that a hostile size field is
+// rejected before anything of that size is allocated. While armed, a
+// request above kAllocRefusal is refused, so a regression fails with
+// std::bad_alloc instead of touching gigabytes. Kept out of line so the
+// compiler never pairs an inlined malloc with a new-expression.
+namespace {
+std::atomic<bool> g_track_allocs{false};
+std::atomic<size_t> g_largest_alloc{0};
+constexpr size_t kAllocRefusal = size_t{1} << 26;
+} // namespace
+
+[[gnu::noinline]] void*
+operator new(size_t n)
+{
+    if (g_track_allocs.load(std::memory_order_relaxed)) {
+        size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+        while (n > seen &&
+               !g_largest_alloc.compare_exchange_weak(seen, n)) {
+        }
+        if (n > kAllocRefusal)
+            throw std::bad_alloc();
+    }
+    if (void* p = std::malloc(n > 0 ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void* p, size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace sinan {
 namespace {
@@ -186,6 +235,342 @@ TEST(BoostedTrees, LoadRejectsGarbage)
     std::stringstream ss("not a model");
     BoostedTrees model;
     EXPECT_THROW(model.Load(ss), std::runtime_error);
+}
+
+/** One node in BoostedTrees' serialized layout. */
+struct RawNode {
+    int32_t feature = -1; // -1: leaf
+    float threshold = 0.0f;
+    int32_t left = -1;
+    int32_t right = -1;
+    float value = 0.0f;
+};
+static_assert(sizeof(RawNode) == 20, "serialized node is 20 bytes");
+
+RawNode
+Split(int32_t feature, float threshold, int32_t left, int32_t right)
+{
+    return RawNode{feature, threshold, left, right, 0.0f};
+}
+
+RawNode
+Leaf(float value)
+{
+    RawNode n;
+    n.value = value;
+    return n;
+}
+
+template <typename T>
+void
+Put(std::string& out, T v)
+{
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/** Bytes of a model in the Save() format: objective (0 logistic, 1
+ *  squared), feature count, base score, then each tree's node count
+ *  and nodes. */
+std::string
+SerializeTrees(int32_t n_features, double base,
+               const std::vector<std::vector<RawNode>>& trees,
+               int32_t objective = 0)
+{
+    std::string out;
+    Put(out, objective);
+    Put(out, n_features);
+    Put(out, base);
+    Put(out, static_cast<int32_t>(trees.size()));
+    for (const std::vector<RawNode>& t : trees) {
+        Put(out, static_cast<int32_t>(t.size()));
+        out.append(reinterpret_cast<const char*>(t.data()),
+                   t.size() * sizeof(RawNode));
+    }
+    return out;
+}
+
+/** A chain of @p depth splits on feature 0: split d (at index 2d) sends
+ *  x < d left to the next split and the rest right to leaf d; the
+ *  chain ends in a leaf of value -1. */
+std::vector<RawNode>
+ChainTree(int depth)
+{
+    std::vector<RawNode> nodes;
+    for (int d = 0; d < depth; ++d) {
+        nodes.push_back(Split(0, static_cast<float>(d), 2 * d + 2, 2 * d + 1));
+        nodes.push_back(Leaf(static_cast<float>(d)));
+    }
+    nodes.push_back(Leaf(-1.0f));
+    return nodes;
+}
+
+/** Expects Load of @p bytes to throw std::runtime_error naming
+ *  @p needle, leaving @p model's predictions as they were. */
+void
+ExpectLoadRejects(const std::string& bytes, const std::string& needle)
+{
+    SCOPED_TRACE(needle);
+    BoostedTrees model;
+    model.Train(ThresholdDataset(200, 3));
+    const std::vector<float> row = {0.7f, 0.1f, 0.2f, 0.3f};
+    const double before = model.Predict(row);
+    std::stringstream ss(bytes);
+    try {
+        model.Load(ss);
+        ADD_FAILURE() << "Load accepted a corrupt stream";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(model.Predict(row), before);
+}
+
+TEST(BoostedTrees, LoadRejectsCorruptNodes)
+{
+    const RawNode l0 = Leaf(0.5f), l1 = Leaf(-0.5f);
+    // Feature outside [-1, n_features).
+    ExpectLoadRejects(SerializeTrees(3, 0.0, {{Split(3, 0.5f, 1, 2), l0, l1}}),
+                      "feature out of range");
+    ExpectLoadRejects(SerializeTrees(3, 0.0, {{Split(-2, 0.5f, 1, 2), l0, l1}}),
+                      "feature out of range");
+    // A child index past the tree, or not past its parent (a cycle).
+    ExpectLoadRejects(SerializeTrees(3, 0.0, {{Split(0, 0.5f, 1, 3), l0, l1}}),
+                      "bad child index");
+    ExpectLoadRejects(SerializeTrees(3, 0.0, {{Split(0, 0.5f, 0, 2), l0, l1}}),
+                      "bad child index");
+    ExpectLoadRejects(
+        SerializeTrees(3, 0.0,
+                       {{Split(0, 0.5f, 1, 2), Split(1, 0.5f, 1, 2), l0}}),
+        "bad child index");
+    // A tree without nodes, and an unknown objective.
+    // (Padded so the byte bound, one node per tree, is met.)
+    ExpectLoadRejects(SerializeTrees(3, 0.0, {{}}) + std::string(20, '\0'),
+                      "corrupt tree");
+    ExpectLoadRejects(SerializeTrees(3, 0.0, {{l0}}, /*objective=*/7),
+                      "corrupt header");
+}
+
+TEST(BoostedTrees, LoadBoundsTreeDepth)
+{
+    const std::vector<RawNode> deepest = ChainTree(BoostedTrees::kMaxDepth);
+    std::stringstream ok(SerializeTrees(1, 0.0, {deepest}));
+    BoostedTrees model;
+    model.Load(ok);
+    EXPECT_EQ(model.NumTrees(), 1);
+    // The chain's left spine goes below every threshold to its end.
+    EXPECT_DOUBLE_EQ(model.Predict(std::vector<float>{-1.0f}),
+                     1.0 / (1.0 + std::exp(1.0)));
+    ExpectLoadRejects(
+        SerializeTrees(1, 0.0, {ChainTree(BoostedTrees::kMaxDepth + 1)}),
+        "deeper than kMaxDepth");
+}
+
+TEST(BoostedTrees, LoadRejectsHostileSizesBeforeAllocating)
+{
+    // A valid header claiming 2^30 nodes (or trees) with nothing
+    // behind it must fail on the byte bound, not after allocating the
+    // claimed 20 GiB.
+    std::string huge_tree;
+    Put(huge_tree, int32_t{0});
+    Put(huge_tree, int32_t{4});
+    Put(huge_tree, 0.0);
+    Put(huge_tree, int32_t{1});
+    Put(huge_tree, int32_t{1} << 30);
+    std::string huge_count;
+    Put(huge_count, int32_t{0});
+    Put(huge_count, int32_t{4});
+    Put(huge_count, 0.0);
+    Put(huge_count, int32_t{1} << 30);
+    for (const std::string& bytes : {huge_tree, huge_count}) {
+        BoostedTrees model;
+        std::stringstream ss(bytes);
+        g_largest_alloc = 0;
+        g_track_allocs = true;
+        EXPECT_THROW(model.Load(ss), std::runtime_error);
+        g_track_allocs = false;
+        EXPECT_LT(g_largest_alloc.load(), size_t{1} << 20);
+    }
+}
+
+/** A random tree of depth at most @p max_depth in DFS order (children
+ *  always past their parent); splits stop at random, so the trees are
+ *  unbalanced, and depth 0 is a single leaf. Thresholds come from
+ *  @p thresholds. */
+void
+AddRandomSubtree(Rng& rng, int depth, int max_depth, int n_features,
+                 const std::vector<float>& thresholds,
+                 std::vector<RawNode>& nodes)
+{
+    const size_t self = nodes.size();
+    if (depth >= max_depth || (depth > 0 && rng.Uniform() < 0.3)) {
+        nodes.push_back(
+            Leaf(static_cast<float>(rng.Uniform(-1.0, 1.0))));
+        return;
+    }
+    nodes.push_back(Split(
+        static_cast<int32_t>(rng.UniformInt(
+            static_cast<uint64_t>(n_features))),
+        thresholds[rng.UniformInt(thresholds.size())], -1, -1));
+    nodes[self].left = static_cast<int32_t>(nodes.size());
+    AddRandomSubtree(rng, depth + 1, max_depth, n_features, thresholds,
+                     nodes);
+    nodes[self].right = static_cast<int32_t>(nodes.size());
+    AddRandomSubtree(rng, depth + 1, max_depth, n_features, thresholds,
+                     nodes);
+}
+
+/** Values that stress the comparison: signed zeros, infinities, NaN,
+ *  the extreme finite floats, and the thresholds themselves. */
+std::vector<float>
+EdgeValues()
+{
+    const float inf = std::numeric_limits<float>::infinity();
+    return {0.0f,     -0.0f,     inf,      -inf,     FLT_MAX,
+            -FLT_MAX, FLT_MIN,   0.25f,    -0.25f,   0.5f,
+            std::numeric_limits<float>::quiet_NaN()};
+}
+
+BoostedTrees
+RandomEnsemble(uint64_t seed, int max_depth, int n_trees, int n_features,
+               int32_t objective)
+{
+    Rng rng(seed);
+    std::vector<float> thresholds = EdgeValues();
+    thresholds.pop_back(); // NaN thresholds are not what Train emits
+    for (int i = 0; i < 8; ++i)
+        thresholds.push_back(static_cast<float>(rng.Uniform(-1.0, 1.0)));
+    std::vector<std::vector<RawNode>> trees(static_cast<size_t>(n_trees));
+    for (std::vector<RawNode>& t : trees)
+        AddRandomSubtree(rng, 0, max_depth, n_features, thresholds, t);
+    std::stringstream ss(
+        SerializeTrees(n_features, rng.Uniform(-0.5, 0.5), trees, objective));
+    BoostedTrees model;
+    model.Load(ss);
+    return model;
+}
+
+/** Feature-major candidates: mostly uniform in [-1, 1], with edge
+ *  values and the thresholds' own values mixed in. */
+std::vector<float>
+RandomCandidates(Rng& rng, int n_features, int64_t ld)
+{
+    const std::vector<float> edges = EdgeValues();
+    std::vector<float> x(static_cast<size_t>(n_features * ld));
+    for (float& v : x) {
+        v = rng.Uniform() < 0.25
+                ? edges[rng.UniformInt(edges.size())]
+                : static_cast<float>(rng.Uniform(-1.0, 1.0));
+    }
+    return x;
+}
+
+/** PredictBatch under the current dispatch against per-row Predict,
+ *  bit for bit. */
+void
+ExpectBatchMatchesPredict(const BoostedTrees& model, const float* x,
+                          int64_t ld, int n, int n_features)
+{
+    std::vector<double> batch(static_cast<size_t>(n), -7.0);
+    model.PredictBatch(x, ld, n, batch.data());
+    std::vector<float> row(static_cast<size_t>(n_features));
+    for (int c = 0; c < n; ++c) {
+        for (int f = 0; f < n_features; ++f)
+            row[static_cast<size_t>(f)] = x[f * ld + c];
+        const double want = model.Predict(row);
+        ASSERT_EQ(std::memcmp(&batch[static_cast<size_t>(c)], &want,
+                              sizeof(double)),
+                  0)
+            << "candidate " << c << ": batch " << batch[c]
+            << " vs Predict " << want << " (" << ActiveKernelId() << ")";
+    }
+}
+
+class SimdModeGuard {
+  public:
+    SimdModeGuard() : saved_(CurrentSimdMode()) {}
+    ~SimdModeGuard() { SetSimdMode(saved_); }
+
+  private:
+    SimdMode saved_;
+};
+
+TEST(GbtBatchParity, RandomEnsemblesMatchPerRowPredictBitForBit)
+{
+    // Scalar and AVX2 batch kernels against the per-row TreePredict
+    // walk: depths 0-6 (so both the compare-all top levels and the
+    // gathered deeper ones run), unbalanced trees, edge-valued features
+    // and thresholds, candidate counts around the 8-lane groups, and
+    // both objectives. On a host without AVX2 both modes resolve to
+    // the scalar kernel.
+    const SimdModeGuard guard;
+    const int saved_threads = NumThreads();
+    constexpr int kFeatures = 9;
+    for (int depth = 0; depth <= 6; ++depth) {
+        const BoostedTrees model =
+            RandomEnsemble(100 + static_cast<uint64_t>(depth), depth, 23,
+                           kFeatures, depth % 2);
+        for (const int n : {1, 7, 8, 9, 63, 64, 65, 130}) {
+            Rng rng(static_cast<uint64_t>(depth * 1000 + n));
+            const int64_t ld = n + 3; // rows wider than the batch
+            const std::vector<float> x =
+                RandomCandidates(rng, kFeatures, ld);
+            for (const int threads : {1, 4}) {
+                SetNumThreads(threads);
+                for (const SimdMode mode : {SimdMode::kOff, SimdMode::kOn}) {
+                    SetSimdMode(mode);
+                    SCOPED_TRACE(::testing::Message()
+                                 << "depth " << depth << ", " << n
+                                 << " candidates, " << threads
+                                 << " threads, " << ActiveKernelId());
+                    ExpectBatchMatchesPredict(model, x.data(), ld, n,
+                                              kFeatures);
+                }
+            }
+        }
+    }
+    SetNumThreads(saved_threads);
+}
+
+TEST(GbtBatchParity, MultiBlockBatchMatchesPerRowPredict)
+{
+    // Enough trees and candidates that PredictBatch splits into several
+    // GrainFor blocks, so the 4-thread run is really concurrent.
+    const SimdModeGuard guard;
+    const int saved_threads = NumThreads();
+    constexpr int kFeatures = 6, kTrees = 200, kDepth = 6, kCands = 1000;
+    const BoostedTrees model =
+        RandomEnsemble(77, kDepth, kTrees, kFeatures, 0);
+    ASSERT_GT(kCands / 8, GrainFor(int64_t{kTrees} * (kDepth + 1) * 8))
+        << "PredictBatch no longer splits";
+    Rng rng(78);
+    const std::vector<float> x = RandomCandidates(rng, kFeatures, kCands);
+    for (const int threads : {1, 4}) {
+        SetNumThreads(threads);
+        for (const SimdMode mode : {SimdMode::kOff, SimdMode::kOn}) {
+            SetSimdMode(mode);
+            SCOPED_TRACE(::testing::Message() << threads << " threads, "
+                                              << ActiveKernelId());
+            ExpectBatchMatchesPredict(model, x.data(), kCands, kCands,
+                                      kFeatures);
+        }
+    }
+    SetNumThreads(saved_threads);
+}
+
+TEST(GbtBatchParity, TrainedModelBatchMatchesPredict)
+{
+    // The flat tables Train builds (as opposed to Load) score the same.
+    const SimdModeGuard guard;
+    GbtConfig cfg;
+    cfg.n_trees = 40;
+    BoostedTrees model(cfg);
+    model.Train(XorDataset(800, 9));
+    Rng rng(10);
+    const std::vector<float> x = RandomCandidates(rng, 4, 37);
+    for (const SimdMode mode : {SimdMode::kOff, SimdMode::kOn}) {
+        SetSimdMode(mode);
+        ExpectBatchMatchesPredict(model, x.data(), 37, 37, 4);
+    }
 }
 
 TEST(BoostedTrees, ConstantLabelsPredictThatLabel)

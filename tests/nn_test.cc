@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <sstream>
 
+#include "common/cpu_features.h"
 #include "common/thread_pool.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
@@ -123,6 +125,48 @@ TEST(Dense, RejectsBadShapes)
     Dense d(3, 2, rng);
     EXPECT_THROW(d.Forward(Tensor({2, 4})), std::invalid_argument);
     EXPECT_THROW(Dense(0, 2, rng), std::invalid_argument);
+}
+
+TEST(Dense, SharedPrefixForwardIsBitIdenticalToConcatenatedRows)
+{
+    // fc_latent's shape: [rh 48 | lh 24] shared by every row, then each
+    // row's own 24 columns. The hoisted prefix must reproduce
+    // ForwardInto on the concatenated rows bit for bit, under both
+    // kernels, with one row and with enough rows to split into several
+    // blocks at 4 threads.
+    const SimdMode saved_simd = CurrentSimdMode();
+    const int saved_threads = NumThreads();
+    Rng rng(71);
+    Dense d(96, 32, rng);
+    const Tensor rh = Tensor::Randn({1, 48}, rng);
+    const Tensor lh = Tensor::Randn({1, 24}, rng);
+    for (const int batch : {1, 7, 2000}) {
+        const Tensor rc = Tensor::Randn({batch, 24}, rng);
+        Tensor concat({batch, 96});
+        for (int i = 0; i < batch; ++i) {
+            for (int j = 0; j < 48; ++j)
+                concat.At(i, j) = rh.At(0, j);
+            for (int j = 0; j < 24; ++j) {
+                concat.At(i, 48 + j) = lh.At(0, j);
+                concat.At(i, 72 + j) = rc.At(i, j);
+            }
+        }
+        for (const SimdMode mode : {SimdMode::kOff, SimdMode::kOn}) {
+            SetSimdMode(mode);
+            SetNumThreads(4);
+            Tensor want, got, prefix;
+            d.ForwardInto(concat, want);
+            d.ForwardSharedPrefixInto({&rh, &lh}, rc, prefix, got);
+            ASSERT_EQ(got.Size(), want.Size());
+            EXPECT_EQ(std::memcmp(got.Data(), want.Data(),
+                                  want.Size() * sizeof(float)),
+                      0)
+                << batch << " rows, " << ActiveKernelId();
+        }
+    }
+    EXPECT_GT(2000, GrainFor(24 * 32)) << "the continuation no longer splits";
+    SetSimdMode(saved_simd);
+    SetNumThreads(saved_threads);
 }
 
 TEST(ReLU, ForwardClampsAndBackwardMasks)

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace sinan {
@@ -235,6 +237,35 @@ TEST(ThreadPoolTest, MalformedSinanThreadsFallsBackToHardware)
     else
         unsetenv("SINAN_THREADS");
     SetNumThreads(0);
+}
+
+TEST(ThreadPoolTest, SinanThreadsAboveTheCapFallsBackToHardware)
+{
+    // An in-range int above kMaxThreads must not size the pool: it
+    // falls back to the hardware count (itself clamped to the cap), so
+    // this test never starts more threads than the host has cores.
+    static_assert(100000 > kMaxThreads);
+    const char* saved = std::getenv("SINAN_THREADS");
+    const std::string saved_val = saved ? saved : "";
+    const unsigned hw_raw = std::thread::hardware_concurrency();
+    const int hw = hw_raw > 0
+                       ? static_cast<int>(std::min<unsigned>(hw_raw,
+                                                             kMaxThreads))
+                       : 1;
+    setenv("SINAN_THREADS", "100000", 1);
+    SetNumThreads(0);
+    EXPECT_EQ(NumThreads(), hw);
+    if (saved)
+        setenv("SINAN_THREADS", saved_val.c_str(), 1);
+    else
+        unsetenv("SINAN_THREADS");
+    SetNumThreads(0);
+}
+
+TEST(ThreadPoolTest, PoolAboveTheCapIsAContractViolation)
+{
+    // The check fires before any worker is spawned.
+    EXPECT_THROW(ThreadPool pool(kMaxThreads + 1), ContractViolation);
 }
 
 TEST(ThreadPoolTest, GrainForIsShapeOnlyAndNonIncreasing)
